@@ -90,7 +90,7 @@ def _run_lister(g: Graph, kind: str, k: Optional[int],
         return list_triangles(g, sink)
     if kind == "c4":
         return list_4cycles(g, sink)
-    return list_kcliques(g, k if k is not None else 3, sink)
+    return list_kcliques(g, k, sink)
 
 
 def cmd_list(args) -> int:
@@ -116,7 +116,7 @@ def _oracle_records(g: Graph, kind: str, k: Optional[int]) -> set:
         return oracle.brute_triangles(g)
     if kind == "c4":
         return oracle.brute_4cycles(g)
-    return oracle.brute_kcliques(g, k if k is not None else 3)
+    return oracle.brute_kcliques(g, k)
 
 
 def cmd_verify(args, lister=None) -> int:
@@ -261,6 +261,9 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "kind" in args and (args.kind == "clique") != (args.k is not None):
+            parser.error("--k is required with --kind clique and not allowed "
+                         "with other kinds")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil
@@ -108,33 +107,37 @@ class OrderingResult:
 def degeneracy_ordering(g: Graph) -> OrderingResult:
     """Greedy minimum-residual-degree elimination order.
 
-    Repeatedly removes the vertex of smallest remaining degree, breaking
-    ties by vertex id, and records the largest degree seen at removal time
-    (the degeneracy).  Uses a lazy-deletion heap, so the cost is
-    O((n + m) log n); stale heap entries are skipped on pop.
+    Repeatedly removes a vertex of smallest remaining degree and records
+    the largest degree seen at removal time (the degeneracy).  Uses the
+    Matula-Beck bucket queue: one bucket per degree, a vertex is pushed
+    again whenever its degree drops and stale entries are skipped on pop,
+    so the cost is O(n + m).  Ties are broken deterministically.
     """
     n = g.n
     deg = [g.degree(v) for v in range(n)]
-    heap: list[tuple[int, int]] = [(deg[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    removed = bytearray(n)
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(n):
+        buckets[deg[v]].append(v)
+    position = [-1] * n
     order: list[int] = []
     degeneracy = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
+    d = 0
+    while len(order) < n:
+        if not buckets[d]:
+            d += 1
             continue
-        removed[v] = 1
-        if d > degeneracy:
-            degeneracy = d
+        v = buckets[d].pop()
+        if deg[v] != d:
+            continue
+        position[v] = len(order)
         order.append(v)
+        degeneracy = max(degeneracy, d)
         for u in g.neighbors(v):
-            if not removed[u]:
+            if position[u] < 0:
                 deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
-    position = [0] * n
-    for i, v in enumerate(order):
-        position[v] = i
+                buckets[deg[u]].append(u)
+        # Removing v lowers each remaining degree by at most one.
+        d = max(d - 1, 0)
     return OrderingResult(tuple(order), tuple(position), degeneracy)
 
 
@@ -158,7 +161,7 @@ def arboricity_bounds(g: Graph) -> ArboricityBounds:
     if g.n < 2:
         raise ValueError("arboricity bounds need at least 2 vertices")
     lower = ceil(g.m / (g.n - 1)) if g.m else 0
-    upper = min(g.max_degree(), degeneracy_ordering(g).degeneracy)
+    upper = degeneracy_ordering(g).degeneracy
     return ArboricityBounds(lower, upper)
 
 

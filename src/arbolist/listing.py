@@ -6,6 +6,12 @@ plus the number of records emitted.  A sink is any callable taking one
 record; returning a truthy value stops the enumeration before the next
 record.  Every record is emitted exactly once, in a deterministic order
 for a given graph.
+
+Triangles and k-cliques share one walk over a single degeneracy
+orientation: cliques are grouped by their earliest vertex in the
+degeneracy order, and within a group they follow the rank of their later
+vertices.  4-cycles are grouped by their first vertex in decreasing-degree
+order.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple
 
-from .core import Graph, OrderingResult, degeneracy_ordering
+from .core import Graph, degeneracy_ordering
 from .errors import KTooSmallError
 
 
@@ -71,18 +77,17 @@ def clique_record(vertices) -> CliqueRecord:
 class EnumerationStats:
     """Instrumentation attached to one enumeration run.
 
-    ``steps`` counts inner-loop iterations (adjacency entries scanned plus
-    records assembled); it is the machine-independent work signal the
-    benchmarks normalize against.  ``max_gap`` is the largest wall-clock
-    gap between consecutive emissions, measured from the end of
-    preprocessing; delay guarantees are asserted in amortized form
-    (emit_time / emitted_count), not per record.
+    ``preprocess_time`` is the vertex ordering plus the rank-sorted
+    adjacency built from it; ``emit_time`` is everything after that, the
+    scan together with the sink calls.  ``steps`` counts inner-loop
+    iterations (adjacency entries scanned, plus vertex pairs assembled by
+    the 4-cycle lister); it is the machine-independent work signal the
+    benchmarks normalize against.
     """
 
     preprocess_time: float = 0.0
     emit_time: float = 0.0
     emitted_count: int = 0
-    max_gap: float = 0.0
     steps: int = 0
 
 
@@ -115,58 +120,66 @@ def _rank_sorted_adjacency(g: Graph, position) -> tuple[list[tuple[int, ...]], l
     return by_rank, rank_of, split
 
 
-def list_triangles(g: Graph, sink: Sink) -> EnumerationStats:
-    """List every triangle exactly once in O(m * degeneracy) time.
+def _finish(t0: float, t1: float, emitted: int, steps: int) -> EnumerationStats:
+    return EnumerationStats(preprocess_time=t1 - t0,
+                            emit_time=perf_counter() - t1,
+                            emitted_count=emitted, steps=steps)
 
-    Vertices are processed in degeneracy order with logical deletion: a
-    neighbor counts as still present iff it comes later in the order.
-    For the current vertex v, its remaining neighbors are marked; for each
-    marked neighbor u, the neighbors of u that remain after u are scanned,
-    and {v, u, w} is reported whenever w is marked.  Scanning only the
-    later-than-u suffix emits each triangle once, at its earliest vertex.
+
+def _walk(g: Graph, k: int, sink: Sink,
+          make: Callable[[tuple], Any]) -> EnumerationStats:
+    """The k-clique walk of :func:`list_kcliques`, k >= 2.
+
+    ``label[w] == l`` means w is still a candidate when l vertices remain
+    to be chosen: choosing u keeps the candidates on u's out-list and
+    relabels them l - 1, and the labels are restored on the way back.
+    ``make`` turns the chosen vertices into a record.
     """
     t0 = perf_counter()
     ordering = degeneracy_ordering(g)
-    position = ordering.position
-    by_rank, _, split = _rank_sorted_adjacency(g, position)
-    later = [by_rank[v][split[v]:] for v in range(g.n)]
-    marked = bytearray(g.n)
-    stats = EnumerationStats()
+    by_rank, _, split = _rank_sorted_adjacency(g, ordering.position)
+    out = [by_rank[v][split[v]:] for v in range(g.n)]
     t1 = perf_counter()
-    stats.preprocess_time = t1 - t0
-    last = t1
+    label = [k] * g.n
     steps = 0
     emitted = 0
-    max_gap = 0.0
-    stopped = False
-    for v in ordering.order:
-        lv = later[v]
-        for u in lv:
-            marked[u] = 1
-        for u in lv:
-            for w in later[u]:
-                steps += 1
-                if marked[w]:
-                    now = perf_counter()
-                    gap = now - last
-                    if gap > max_gap:
-                        max_gap = gap
-                    last = now
-                    emitted += 1
-                    if sink(triangle_record(v, u, w)):
-                        stopped = True
-                        break
+
+    def extend(l: int, candidates, prefix: tuple) -> bool:
+        """Emit prefix plus every l-clique of candidates; True on stop."""
+        nonlocal steps, emitted
+        for u in candidates:
+            later = out[u]
+            steps += len(later)
+            if l == 2:
+                for w in later:
+                    if label[w] == 2:
+                        emitted += 1
+                        if sink(make(prefix + (u, w))):
+                            return True
+                continue
+            kept = [w for w in later if label[w] == l]
+            if len(kept) < l - 1:
+                continue
+            for w in kept:
+                label[w] = l - 1
+            stopped = extend(l - 1, kept, prefix + (u,))
+            for w in kept:
+                label[w] = l
             if stopped:
-                break
-        for u in lv:
-            marked[u] = 0
-        if stopped:
-            break
-    stats.emit_time = perf_counter() - t1
-    stats.emitted_count = emitted
-    stats.max_gap = max_gap
-    stats.steps = steps
-    return stats
+                return True
+        return False
+
+    extend(k, ordering.order, ())
+    return _finish(t0, t1, emitted, steps)
+
+
+def list_triangles(g: Graph, sink: Sink) -> EnumerationStats:
+    """List every triangle exactly once in O(m * degeneracy) time.
+
+    The k=3 case of the k-clique walk (see :func:`list_kcliques`), with
+    records as ascending :class:`TriangleRecord` triples.
+    """
+    return _walk(g, 3, sink, lambda vs: triangle_record(*vs))
 
 
 def count_triangles(g: Graph) -> int:
@@ -218,20 +231,12 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
     t0 = perf_counter()
     order, position = _degree_descending_order(g)
     by_rank, rank_of, split = _rank_sorted_adjacency(g, position)
-    stats = EnumerationStats()
-    u_lists: dict[int, list[int]] = {}
     t1 = perf_counter()
-    setup = t1 - t0
-    scan_total = 0.0
-    emit_total = 0.0
-    last = t1
+    u_lists: dict[int, list[int]] = {}
     steps = 0
     emitted = 0
-    max_gap = 0.0
-    stopped = False
     for v in order:
         pv = position[v]
-        s0 = perf_counter()
         u_lists.clear()
         for u in by_rank[v][split[v]:]:
             i = bisect_right(rank_of[u], pv)
@@ -241,36 +246,16 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
                     u_lists[w].append(u)
                 else:
                     u_lists[w] = [u]
-        s1 = perf_counter()
-        scan_total += s1 - s0
         for w, us in u_lists.items():
             if len(us) < 2:
                 continue
             for i in range(len(us) - 1):
                 for j in range(i + 1, len(us)):
                     steps += 1
-                    now = perf_counter()
-                    gap = now - last
-                    if gap > max_gap:
-                        max_gap = gap
-                    last = now
                     emitted += 1
                     if sink(four_cycle_record(v, us[i], w, us[j])):
-                        stopped = True
-                        break
-                if stopped:
-                    break
-            if stopped:
-                break
-        emit_total += perf_counter() - s1
-        if stopped:
-            break
-    stats.preprocess_time = setup + scan_total
-    stats.emit_time = emit_total
-    stats.emitted_count = emitted
-    stats.max_gap = max_gap
-    stats.steps = steps
-    return stats
+                        return _finish(t0, t1, emitted, steps)
+    return _finish(t0, t1, emitted, steps)
 
 
 def count_4cycles(g: Graph) -> int:
@@ -278,82 +263,22 @@ def count_4cycles(g: Graph) -> int:
 
 
 def list_kcliques(g: Graph, k: int, sink: Sink) -> EnumerationStats:
-    """List every k-clique exactly once, k >= 2.
+    """List every k-clique exactly once, k >= 2, as an ascending tuple.
 
-    The base case k=2 emits all edges.  For k >= 3 the vertices are
-    processed in degeneracy order; for each vertex v the search recurses
-    for (k-1)-cliques inside the subgraph induced by v's not-yet-deleted
-    neighbors, then prefixes v to every result.  Each recursion level
-    works on at most degeneracy-many vertices, which is what caps the
-    total work at O(m * degeneracy^(k-2)) plus the output size.
+    The graph is ordered once by degeneracy and every edge is pointed at
+    its later endpoint, so each out-list holds at most degeneracy-many
+    vertices.  Each clique is then built once, from its earliest vertex,
+    by intersecting out-lists (Chiba & Nishizeki 1985; kClist, Danisch,
+    Balalau & Sozio 2018), in O(m * degeneracy^(k-2)) time plus the output
+    size.  k=2 emits every edge.
+
+    Emission order: cliques are grouped by their earliest vertex in the
+    degeneracy order; within a group they follow the rank of their later
+    vertices, lexicographically.
     """
     if k < 2:
         raise KTooSmallError(k)
-    t0 = perf_counter()
-    stats = EnumerationStats()
-    state = {"steps": 0, "emitted": 0, "stopped": False,
-             "max_gap": 0.0, "last": t0}
-
-    def emit(vertices: tuple[int, ...]) -> None:
-        now = perf_counter()
-        gap = now - state["last"]
-        if gap > state["max_gap"]:
-            state["max_gap"] = gap
-        state["last"] = now
-        state["emitted"] += 1
-        if sink(clique_record(vertices)):
-            state["stopped"] = True
-
-    def walk(graph: Graph, kk: int, ids: list[int], prefix: tuple[int, ...]) -> None:
-        if kk == 2:
-            for u in range(graph.n):
-                for w in graph.neighbors(u):
-                    if w <= u:
-                        continue
-                    state["steps"] += 1
-                    emit(prefix + (ids[u], ids[w]))
-                    if state["stopped"]:
-                        return
-            return
-        ordering = degeneracy_ordering(graph)
-        position = ordering.position
-        by_rank, _, split = _rank_sorted_adjacency(graph, position)
-        later = [by_rank[v][split[v]:] for v in range(graph.n)]
-        in_sub = [-1] * graph.n
-        for v in ordering.order:
-            sub_vertices = sorted(later[v])
-            if len(sub_vertices) < kk - 1:
-                continue
-            for i, s in enumerate(sub_vertices):
-                in_sub[s] = i
-            sub_adj: list[list[int]] = [[] for _ in sub_vertices]
-            for s in sub_vertices:
-                si = in_sub[s]
-                for w in later[s]:
-                    state["steps"] += 1
-                    wi = in_sub[w]
-                    if wi >= 0:
-                        sub_adj[si].append(wi)
-                        sub_adj[wi].append(si)
-            for nbrs in sub_adj:
-                nbrs.sort()
-            sub_ids = [ids[s] for s in sub_vertices]
-            for s in sub_vertices:
-                in_sub[s] = -1
-            walk(Graph(len(sub_vertices), sub_adj), kk - 1, sub_ids,
-                 prefix + (ids[v],))
-            if state["stopped"]:
-                return
-
-    t1 = perf_counter()
-    stats.preprocess_time = t1 - t0
-    state["last"] = t1
-    walk(g, k, list(range(g.n)), ())
-    stats.emit_time = perf_counter() - t1
-    stats.emitted_count = state["emitted"]
-    stats.max_gap = state["max_gap"]
-    stats.steps = state["steps"]
-    return stats
+    return _walk(g, k, sink, clique_record)
 
 
 def count_kcliques(g: Graph, k: int) -> int:

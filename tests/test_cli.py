@@ -63,6 +63,18 @@ def test_list_clique_k2_emits_edges(tmp_path, capsys):
     assert len(k2) == 6
 
 
+def test_k_goes_with_clique_kind_only(tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    for command in ("list", "verify"):
+        for kind, extra in (("clique", ()), ("triangle", ("--k", "3")),
+                            ("c4", ("--k", "4"))):
+            code, out, err = run(capsys, command, "--input", str(path),
+                                 "--kind", kind, *extra)
+            assert code == 2, (command, kind)
+            assert "--k" in err and out == ""
+
+
 def test_list_count_only(tmp_path, capsys):
     path = tmp_path / "k5.txt"
     path.write_text("\n".join(f"{i} {j}" for i in range(5)

@@ -1,9 +1,12 @@
+import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 
+from arbolist import listing
 from arbolist import (
     Collector,
     KTooSmallError,
@@ -20,6 +23,7 @@ from arbolist import (
     list_4cycles,
     list_kcliques,
     list_triangles,
+    random_gnm,
     triangle_record,
 )
 
@@ -204,11 +208,69 @@ def test_early_stop_kcliques():
     assert len(seen) == 1
 
 
+def list_4cliques(g, sink):
+    return list_kcliques(g, 4, sink)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graphs(max_n=9))
+def test_stop_at_every_record_yields_a_prefix(g):
+    for lister in (list_triangles, list_4cycles, list_4cliques):
+        full = []
+        lister(g, full.append)
+        for j in range(1, len(full) + 1):
+            seen = []
+            stats = lister(g, lambda r: seen.append(r) or len(seen) == j)
+            assert seen == full[:j]
+            assert stats.emitted_count == j
+
+
+def test_kcliques_orient_the_graph_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return degeneracy_ordering(g)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("list_kcliques built a Graph")
+
+    monkeypatch.setattr(listing, "degeneracy_ordering", counted)
+    monkeypatch.setattr(listing, "Graph", no_graph)
+    assert count_kcliques(complete(8), 5) == comb(8, 5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cliques_and_degeneracy_match_networkx(seed):
+    """Cross-check above the oracle guards: sparse gnm plus a dense gnm core."""
+    nx = pytest.importorskip("networkx")
+    n = 3000
+    sparse = random_gnm(n, 15000, seed)
+    core = random_gnm(60, 900, seed)
+    hub = random.Random(seed).sample(range(n), core.n)
+    edges = sparse.edge_set() | {tuple(sorted((hub[u], hub[v])))
+                                 for u, v in core.edges()}
+    g = from_edge_list(sorted(edges), n)
+    ng = nx.Graph()
+    ng.add_nodes_from(range(n))
+    ng.add_edges_from(g.edges())
+    expected = Counter()
+    for clique in nx.enumerate_all_cliques(ng):
+        if len(clique) > 5:
+            break
+        expected[len(clique)] += 1
+    assert expected[5] > 0
+    for k in (3, 4, 5):
+        assert count_kcliques(g, k) == expected[k], k
+    assert (degeneracy_ordering(g).degeneracy
+            == max(nx.core_number(ng).values()))
+
+
 def test_stats_fields_populated():
     _, stats = collect(list_triangles, complete(8))
     assert stats.preprocess_time >= 0
     assert stats.emit_time >= 0
-    assert stats.max_gap >= 0
     assert stats.steps > 0
     assert stats.emitted_count == comb(8, 3)
 
