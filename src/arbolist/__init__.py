@@ -80,6 +80,7 @@ from .zeroclique import (
     choose_s,
     extract_bucket,
     hash_weights,
+    index_edges,
     partition_intervals,
     sample_hash_params,
     solve_zero_kclique,
@@ -109,6 +110,6 @@ __all__ = [
     "brute_zero_kclique",
     "HashParams", "IntervalPartition", "SolveReport",
     "WeightedKPartiteGraph", "admissible_tuples", "apply_hash_weights",
-    "choose_s", "extract_bucket", "hash_weights", "partition_intervals",
-    "sample_hash_params", "solve_zero_kclique",
+    "choose_s", "extract_bucket", "hash_weights", "index_edges",
+    "partition_intervals", "sample_hash_params", "solve_zero_kclique",
 ]

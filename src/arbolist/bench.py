@@ -27,6 +27,7 @@ from .zeroclique import (
     admissible_tuples,
     extract_bucket,
     hash_weights,
+    index_edges,
     partition_intervals,
 )
 
@@ -169,8 +170,9 @@ def suite_zeroclique(n_part: int = 40, s: int = 4, edge_prob: float = 0.5,
         p = next_prime_above(max(k * k * weight_bound, wg.base.n))
         hashed, _ = hash_weights(wg, p, seed)
         partition = partition_intervals(p, s)
+        index = index_edges(wg, hashed, partition)
         for key in admissible_tuples(partition, k):
-            bucket = extract_bucket(wg, hashed, key, partition)
+            bucket = extract_bucket(wg, index, key)
             stats = list_kcliques(bucket, 3, _drain)
             keytxt = "|".join(str(i) for i in key)
             rows.append(_record(

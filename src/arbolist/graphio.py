@@ -92,10 +92,36 @@ def read_edge_list(path: PathLike,
     if labels is not None and len(labels) != n:
         raise ParseError(path, 0,
                          f"label file has {len(labels)} entries for n={n}")
+    return _build(path, rows, pairs, n, labels)
+
+
+def _build(path: PathLike, rows, pairs, n: int,
+           labels: Optional[dict[int, int]]) -> Graph:
+    """``from_edge_list`` on the parsed pairs, its errors as ParseError."""
     try:
         return from_edge_list(pairs, n, labels)
     except Exception as exc:
-        raise ParseError(path, 0, str(exc))
+        raise ParseError(path, _rejected_line(rows, n), str(exc))
+
+
+def _rejected_line(rows, n: int) -> int:
+    """Line of the first row ``from_edge_list`` rejects, or 0 if none.
+
+    Replays the rows through it one at a time; runs only after a build
+    has failed, so loading a good file pays nothing for it.
+    """
+    at = 0
+
+    def replay():
+        nonlocal at
+        for at, r in rows:
+            yield r[0], r[1]
+
+    try:
+        from_edge_list(replay(), n)
+    except Exception:
+        return at
+    return 0
 
 
 def read_weighted_kpartite(path: PathLike,
@@ -126,11 +152,9 @@ def read_weighted_kpartite(path: PathLike,
                          f"label file has {len(labels)} entries for n={n}")
     k = header_k if header_k is not None else 1 + max(labels.values(), default=0)
     bound = max((abs(w) for w in weights.values()), default=0)
+    base = _build(path, rows, pairs, n, labels)
     try:
-        base = from_edge_list(pairs, n, labels)
         return WeightedKPartiteGraph(base, k, weights, bound)
-    except ParseError:
-        raise
     except Exception as exc:
         raise ParseError(path, 0, str(exc))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import ceil
 from time import perf_counter
 from typing import Iterator, Mapping, Optional
@@ -222,26 +222,46 @@ def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKe
             yield prefix + (j,)
 
 
-def extract_bucket(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
-                   key: BucketKey, partition: IntervalPartition) -> Graph:
-    """Subgraph keeping, per part pair, the edges hashed into the keyed interval.
+EdgeIndex = list  # index[slot][i]: list of edges, see index_edges()
 
-    Vertex ids and part labels are preserved, so cliques listed in the
-    bucket are directly cliques of the original graph.
+
+def index_edges(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
+                partition: IntervalPartition) -> EdgeIndex:
+    """Group the edges once by part pair and hashed interval.
+
+    ``index[slot][i]`` lists, in ``g.base.edges()`` order, the edges
+    between the parts ``pair_order(k)[slot]`` whose hashed weight falls
+    in interval i.  One pass over the edges; buckets are then assembled
+    from these lists by :func:`extract_bucket`.
     """
     pairs = pair_order(g.k)
-    if len(key) != len(pairs):
-        raise ValueError(f"key has {len(key)} entries, expected {len(pairs)}")
-    slot = {pq: i for i, pq in enumerate(pairs)}
+    slot = {}
+    for i, (a, b) in enumerate(pairs):
+        slot[a, b] = slot[b, a] = i
     labels = g.base.part_label
     assert labels is not None
-    kept = []
+    interval_of = partition.interval_of
+    index = [[[] for _ in range(partition.s)] for _ in pairs]
     for e in g.base.edges():
-        lu, lv = labels[e[0]], labels[e[1]]
-        want = key[slot[(lu, lv) if lu < lv else (lv, lu)]]
-        if partition.interval_of(hashed[e]) == want:
-            kept.append(e)
-    return from_edge_list(kept, g.base.n, dict(labels))
+        row = index[slot[labels[e[0]], labels[e[1]]]]
+        row[interval_of(hashed[e])].append(e)
+    return index
+
+
+def extract_bucket(g: WeightedKPartiteGraph, index: EdgeIndex,
+                   key: BucketKey) -> Graph:
+    """Subgraph keeping, per part pair, the edges hashed into the keyed interval.
+
+    ``index`` comes from :func:`index_edges`; the bucket is the union of
+    the C(k,2) lists ``index[slot][key[slot]]``, so it costs its own size
+    plus n, not a pass over every edge.  Vertex ids and the base graph's
+    part labels are kept, so cliques listed in the bucket are directly
+    cliques of the original graph.
+    """
+    if len(key) != len(index):
+        raise ValueError(f"key has {len(key)} entries, expected {len(index)}")
+    kept = chain.from_iterable(index[slot][i] for slot, i in enumerate(key))
+    return from_edge_list(kept, g.base.n, g.base.part_label)
 
 
 def choose_s(n: int, k: int, epsilon: float) -> int:
@@ -283,8 +303,11 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     """Find some one-vertex-per-part k-clique of total weight zero, if any.
 
     Chooses p as the smallest prime above max(k^2 * weight_bound, n),
-    hashes the weights, and walks the admissible bucket keys in
-    lexicographic order, listing the cliques of each extracted bucket.
+    hashes the weights, indexes the edges once by part pair and hashed
+    interval (:func:`index_edges`), and walks the admissible bucket keys
+    in lexicographic order, listing the cliques of each bucket assembled
+    from that index.  ``extract_s`` counts the index build plus every
+    bucket assembly.
     Every listed clique is checked against the original weights, and the
     first exact hit wins, so the search is deterministic for a fixed
     seed.  A zero-sum clique always lands in the bucket determined by its
@@ -305,11 +328,14 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     hashed, params = hash_weights(g, p, seed)
     partition = partition_intervals(p, s)
     report = SolveReport(witness=None, witness_sum=None, p=p, s=partition.s)
-    report.hash_s = perf_counter() - t0
+    t1 = perf_counter()
+    report.hash_s = t1 - t0
+    index = index_edges(g, hashed, partition)
+    report.extract_s = perf_counter() - t1
 
     for key in admissible_tuples(partition, k):
         b0 = perf_counter()
-        bucket = extract_bucket(g, hashed, key, partition)
+        bucket = extract_bucket(g, index, key)
         b1 = perf_counter()
         report.extract_s += b1 - b0
         report.buckets_examined += 1

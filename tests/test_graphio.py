@@ -1,6 +1,17 @@
-import pytest
+import tempfile
+from itertools import combinations
+from pathlib import Path
 
-from arbolist import ParseError, from_edge_list, random_weighted_kpartite
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from arbolist import (
+    ParseError,
+    WeightedKPartiteGraph,
+    from_edge_list,
+    random_weighted_kpartite,
+)
 from arbolist.graphio import (
     read_edge_list,
     read_weighted_kpartite,
@@ -8,7 +19,7 @@ from arbolist.graphio import (
     write_weighted_kpartite,
 )
 
-from .conftest import complete
+from .conftest import complete, small_graphs
 
 
 def test_round_trip_plain(tmp_path):
@@ -79,6 +90,29 @@ def test_duplicate_edge_becomes_parse_error(tmp_path):
         read_edge_list(p)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("# n=3\n0 1\n1 2\n0 1\n", 4, "duplicate edge"),
+    ("0 1\n\n# loop next\n2 2\n1 2\n", 4, "self"),
+    ("# n=3\n0 1\n1 7\n2 2\n", 3, "7"),
+])
+def test_construction_error_points_at_its_line(tmp_path, text, line, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_edge_list(p)
+    assert err.value.lineno == line
+    assert message in str(err.value)
+
+
+def test_weighted_construction_error_points_at_its_line(tmp_path):
+    p = tmp_path / "wdup.txt"
+    p.write_text("# n=3 k=3\n0 1 4\n1 2 4\n1 0 4\n")
+    (tmp_path / "wdup.txt.labels").write_text("0\n1\n2\n")
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert err.value.lineno == 4
+
+
 def test_weighted_round_trip(tmp_path):
     wg = random_weighted_kpartite(3, 4, 0.6, 20, seed=2)
     p = tmp_path / "w.txt"
@@ -113,3 +147,58 @@ def test_explicit_labels_path_overrides_sibling(tmp_path):
     other.write_text("1\n0\n")
     g = read_edge_list(p, labels_path=other)
     assert g.part_label == {0: 1, 1: 0}
+
+
+def _fresh(tmp_path, name: str) -> Path:
+    # One directory per example, so no stale .labels sibling is read back.
+    return Path(tempfile.mkdtemp(dir=tmp_path)) / name
+
+
+@st.composite
+def labeled_graphs(draw):
+    g = draw(small_graphs())
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+        g = from_edge_list(g.edges(), g.n, dict(enumerate(labels)))
+    return g
+
+
+@given(g=labeled_graphs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_round_trip_property(tmp_path, g):
+    p = _fresh(tmp_path, "g.txt")
+    write_edge_list(p, g)
+    back = read_edge_list(p)
+    assert back.n == g.n
+    assert back.edge_set() == g.edge_set()
+    assert back.part_label == g.part_label
+
+
+@st.composite
+def weighted_graphs(draw):
+    k = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=10))
+    pairs = [(u, v) for u, v in combinations(range(len(labels)), 2)
+             if labels[u] != labels[v]]
+    edges = (draw(st.lists(st.sampled_from(pairs), unique=True))
+             if pairs else [])
+    weights = {e: draw(st.integers(-10 ** 12, 10 ** 12)) for e in edges}
+    base = from_edge_list(edges, len(labels), dict(enumerate(labels)))
+    bound = max((abs(w) for w in weights.values()), default=0)
+    return WeightedKPartiteGraph(base, k, weights, bound)
+
+
+@given(wg=weighted_graphs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_weighted_round_trip_property(tmp_path, wg):
+    p = _fresh(tmp_path, "w.txt")
+    write_weighted_kpartite(p, wg)
+    back = read_weighted_kpartite(p)
+    assert back.k == wg.k
+    assert back.base.n == wg.base.n
+    assert back.base.edge_set() == wg.base.edge_set()
+    assert back.weights == wg.weights
+    assert back.weight_bound == wg.weight_bound
+    assert back.base.part_label == wg.base.part_label

@@ -267,6 +267,24 @@ def test_cliques_and_degeneracy_match_networkx(seed):
             == max(nx.core_number(ng).values()))
 
 
+@pytest.mark.parametrize("n, m, seed", [(3000, 15000, 3), (2000, 40000, 4)])
+def test_triangle_count_matches_networkx_and_trace(n, m, seed):
+    """Triangle counts above the oracle guard, checked two independent ways."""
+    nx = pytest.importorskip("networkx")
+    sparse = pytest.importorskip("scipy.sparse")
+    g = random_gnm(n, m, seed)
+    got = count_triangles(g)
+    assert got > 0
+    ng = nx.Graph()
+    ng.add_nodes_from(range(n))
+    ng.add_edges_from(g.edges())
+    assert got == sum(nx.triangles(ng).values()) // 3
+    u, v = (list(x) for x in zip(*g.edges()))
+    a = sparse.csr_array(([1] * (2 * m), (u + v, v + u)), shape=(n, n),
+                         dtype="int64")
+    assert got == (a @ a @ a).trace() // 6
+
+
 def test_stats_fields_populated():
     _, stats = collect(list_triangles, complete(8))
     assert stats.preprocess_time >= 0

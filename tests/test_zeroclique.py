@@ -8,6 +8,7 @@ from arbolist import (
     BadModulusError,
     BadSError,
     HashParams,
+    IntervalPartition,
     WeightedKPartiteGraph,
     admissible_tuples,
     apply_hash_weights,
@@ -16,6 +17,7 @@ from arbolist import (
     extract_bucket,
     from_edge_list,
     hash_weights,
+    index_edges,
     partition_intervals,
     random_weighted_kpartite,
     sample_hash_params,
@@ -163,7 +165,7 @@ def test_extract_bucket_s1_is_whole_graph():
     wg = random_weighted_kpartite(3, 4, 0.7, 10, seed=2)
     hashed, _ = hash_weights(wg, 101, seed=0)
     part = partition_intervals(101, 1)
-    bucket = extract_bucket(wg, hashed, (0, 0, 0), part)
+    bucket = extract_bucket(wg, index_edges(wg, hashed, part), (0, 0, 0))
     assert bucket.edge_set() == wg.base.edge_set()
 
 
@@ -171,10 +173,11 @@ def test_buckets_partition_each_pair_class():
     wg = random_weighted_kpartite(3, 4, 0.7, 10, seed=3)
     hashed, _ = hash_weights(wg, 101, seed=1)
     part = partition_intervals(101, 4)
+    index = index_edges(wg, hashed, part)
     union = set()
     total = 0
     for key in product(range(part.s), repeat=3):
-        b = extract_bucket(wg, hashed, key, part)
+        b = extract_bucket(wg, index, key)
         edges = b.edge_set()
         total += len(edges)
         union |= edges
@@ -189,13 +192,63 @@ def test_bucket_degree_mostly_bounded():
     wg = random_weighted_kpartite(3, 40, 0.5, 50, seed=0)
     hashed, _ = hash_weights(wg, 457, seed=0)
     part = partition_intervals(457, 4)
+    index = index_edges(wg, hashed, part)
     rng = random.Random(5)
     keys = list(admissible_tuples(part, 3))
     for key in rng.sample(keys, 8):
-        bucket = extract_bucket(wg, hashed, key, part)
+        bucket = extract_bucket(wg, index, key)
         ok = sum(1 for v in range(bucket.n)
                  if bucket.degree(v) <= 4 * (wg.base.degree(v) / part.s) + 8)
         assert ok / bucket.n >= 0.99
+
+
+def test_bucket_equals_direct_filter():
+    """Every admissible bucket holds exactly the edges its key selects."""
+    for k, seed in ((3, 4), (4, 5)):
+        wg = random_weighted_kpartite(k, 6, 0.6, 20, seed)
+        p = 1009
+        hashed, _ = hash_weights(wg, p, seed)
+        part = partition_intervals(p, 3)
+        slot = {pq: i for i, pq in enumerate(combinations(range(k), 2))}
+        labels = wg.base.part_label
+        index = index_edges(wg, hashed, part)
+        for key in admissible_tuples(part, k):
+            want = set()
+            for u, v in wg.base.edges():
+                pair = tuple(sorted((labels[u], labels[v])))
+                if part.interval_of(hashed[u, v]) == key[slot[pair]]:
+                    want.add((u, v))
+            bucket = extract_bucket(wg, index, key)
+            assert bucket.edge_set() == want
+            assert bucket.n == wg.base.n
+            assert bucket.part_label == labels
+
+
+def test_extract_bucket_rejects_wrong_key_length():
+    wg = random_weighted_kpartite(3, 4, 0.7, 10, seed=2)
+    hashed, _ = hash_weights(wg, 101, seed=0)
+    index = index_edges(wg, hashed, partition_intervals(101, 2))
+    with pytest.raises(ValueError):
+        extract_bucket(wg, index, (0, 0))
+
+
+def test_solver_hashes_each_edge_into_an_interval_once(monkeypatch):
+    """The solve puts each edge in its interval once, not once per bucket."""
+    wg = random_weighted_kpartite(3, 10, 0.5, 50, seed=5)
+    assert brute_zero_kclique(wg, 3) is None
+    calls = 0
+    interval_of = IntervalPartition.interval_of
+
+    def counted(self, value):
+        nonlocal calls
+        calls += 1
+        return interval_of(self, value)
+
+    monkeypatch.setattr(IntervalPartition, "interval_of", counted)
+    report = solve_zero_kclique(wg, 3, s=4, seed=3)
+    assert not report.found
+    assert report.buckets_examined == 48
+    assert 0 < calls <= wg.base.m
 
 
 def test_hash_uniformity_smoke():
