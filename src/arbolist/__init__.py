@@ -52,6 +52,7 @@ from .listing import (
     Collector,
     EnumerationStats,
     FourCycleRecord,
+    Orientation,
     TriangleRecord,
     all_edge_sparse_triangle,
     clique_record,
@@ -62,6 +63,7 @@ from .listing import (
     list_4cycles,
     list_kcliques,
     list_triangles,
+    orient,
     triangle_record,
 )
 from .oracle import (
@@ -102,10 +104,10 @@ __all__ = [
     "random_kpartite", "random_weighted_kpartite",
     "sparse_triangle_instance", "triangle_to_4cycle_transform",
     "CliqueRecord", "Collector", "EnumerationStats", "FourCycleRecord",
-    "TriangleRecord", "all_edge_sparse_triangle", "clique_record",
-    "count_4cycles", "count_kcliques", "count_triangles",
+    "Orientation", "TriangleRecord", "all_edge_sparse_triangle",
+    "clique_record", "count_4cycles", "count_kcliques", "count_triangles",
     "four_cycle_record", "list_4cycles", "list_kcliques", "list_triangles",
-    "triangle_record",
+    "orient", "triangle_record",
     "brute_4cycles", "brute_kcliques", "brute_triangles",
     "brute_zero_kclique",
     "HashParams", "IntervalPartition", "SolveReport",

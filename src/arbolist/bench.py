@@ -22,6 +22,7 @@ from .listing import (
     list_4cycles,
     list_kcliques,
     list_triangles,
+    orient,
 )
 from .zeroclique import (
     admissible_tuples,
@@ -159,9 +160,10 @@ def suite_zeroclique(n_part: int = 40, s: int = 4, edge_prob: float = 0.5,
                      min_buckets: int = 20) -> list[BenchRecord]:
     """One row per admissible bucket: bucket shape plus a triangle pass.
 
-    Runs the hash-partition-extract pipeline on seeded k=3 instances and
-    lists the triangles of every admissible bucket, so rows carry the
-    bucket's edge count and degeneracy next to real listing work.
+    Runs the solver's pipeline on seeded k=3 instances and lists the
+    triangles of every admissible bucket's orientation (``pre_s`` 0), so
+    rows carry the bucket's edge count and degeneracy next to real
+    listing work.
     """
     k = 3
     rows = []
@@ -170,15 +172,17 @@ def suite_zeroclique(n_part: int = 40, s: int = 4, edge_prob: float = 0.5,
         p = next_prime_above(max(k * k * weight_bound, wg.base.n))
         hashed, _ = hash_weights(wg, p, seed)
         partition = partition_intervals(p, s)
-        index = index_edges(wg, hashed, partition)
+        oriented = orient(wg.base)
+        index = index_edges(wg, hashed, partition, oriented)
         for key in admissible_tuples(partition, k):
-            bucket = extract_bucket(wg, index, key)
+            bucket = extract_bucket(oriented, index, key)
             stats = list_kcliques(bucket, 3, _drain)
             keytxt = "|".join(str(i) for i in key)
             rows.append(_record(
                 f"zc-bucket n_part={n_part} s={partition.s} seed={seed} "
                 f"key={keytxt}",
-                bucket, "clique k=3", stats))
+                from_edge_list(bucket.edges(), bucket.n), "clique k=3",
+                stats))
     if len(rows) < min_buckets:
         raise ValueError(
             f"only {len(rows)} buckets produced, need {min_buckets}")

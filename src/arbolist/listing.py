@@ -8,10 +8,10 @@ record.  Every record is emitted exactly once, in a deterministic order
 for a given graph.
 
 Triangles and k-cliques share one walk over a single degeneracy
-orientation: cliques are grouped by their earliest vertex in the
-degeneracy order, and within a group they follow the rank of their later
-vertices.  4-cycles are grouped by their first vertex in decreasing-degree
-order.
+orientation (:func:`orient`): cliques are grouped by their earliest
+vertex in the degeneracy order, and within a group they follow the rank
+of their later vertices.  4-cycles are grouped by their first vertex in
+decreasing-degree order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .core import Graph, degeneracy_ordering
 from .errors import KTooSmallError
@@ -77,12 +77,13 @@ def clique_record(vertices) -> CliqueRecord:
 class EnumerationStats:
     """Instrumentation attached to one enumeration run.
 
-    ``preprocess_time`` is the vertex ordering plus the rank-sorted
-    adjacency built from it; ``emit_time`` is everything after that, the
-    scan together with the sink calls.  ``steps`` counts inner-loop
-    iterations (adjacency entries scanned, plus vertex pairs assembled by
-    the 4-cycle lister); it is the machine-independent work signal the
-    benchmarks normalize against.
+    ``preprocess_time`` is the vertex ordering plus the adjacency built
+    from it, 0 when a lister is handed an :class:`Orientation`;
+    ``emit_time`` is everything after that, the scan together with the
+    sink calls.  ``steps`` counts inner-loop iterations (adjacency
+    entries scanned, plus vertex pairs assembled by the 4-cycle lister);
+    it is the machine-independent work signal the benchmarks normalize
+    against.
     """
 
     preprocess_time: float = 0.0
@@ -102,7 +103,7 @@ class Collector:
 
 
 def _rank_sorted_adjacency(g: Graph, position) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
-    """Adjacency re-sorted by elimination rank.
+    """Adjacency re-sorted by elimination rank, for :func:`list_4cycles`.
 
     Returns three parallel structures: for each vertex, its neighbors
     sorted by position; the matching position values (for bisecting); and
@@ -126,20 +127,49 @@ def _finish(t0: float, t1: float, emitted: int, steps: int) -> EnumerationStats:
                             emitted_count=emitted, steps=steps)
 
 
-def _walk(g: Graph, k: int, sink: Sink,
+class Orientation(NamedTuple):
+    """A graph with each edge pointed at its later endpoint in ``order``.
+
+    ``out[v]`` lists v's later neighbours; the walk needs nothing else.
+    """
+
+    n: int
+    m: int
+    order: tuple[int, ...]
+    out: list[list[int]]
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Yield every edge once as (u, v) with u < v."""
+        for u, later in enumerate(self.out):
+            for v in later:
+                yield (u, v) if u < v else (v, u)
+
+
+def orient(g: Graph) -> Orientation:
+    """Degeneracy orientation, each out-list sorted by position."""
+    ordering = degeneracy_ordering(g)
+    position = ordering.position
+    out = [sorted([w for w in g.neighbors(v) if position[w] > pv],
+                  key=position.__getitem__)
+           for v, pv in enumerate(position)]
+    return Orientation(g.n, g.m, ordering.order, out)
+
+
+def _walk(g: Graph | Orientation, k: int, sink: Sink,
           make: Callable[[tuple], Any]) -> EnumerationStats:
     """The k-clique walk of :func:`list_kcliques`, k >= 2.
 
-    ``label[w] == l`` means w is still a candidate when l vertices remain
-    to be chosen: choosing u keeps the candidates on u's out-list and
-    relabels them l - 1, and the labels are restored on the way back.
+    Walks an :class:`Orientation` as it is and orients a :class:`Graph`
+    once.  ``label[w] == l`` means w is still a candidate when l vertices
+    remain to be chosen: choosing u keeps the candidates on u's out-list
+    and relabels them l - 1, and the labels are restored on the way back.
     ``make`` turns the chosen vertices into a record.
     """
-    t0 = perf_counter()
-    ordering = degeneracy_ordering(g)
-    by_rank, _, split = _rank_sorted_adjacency(g, ordering.position)
-    out = [by_rank[v][split[v]:] for v in range(g.n)]
-    t1 = perf_counter()
+    t0 = t1 = perf_counter()
+    if not isinstance(g, Orientation):
+        g = orient(g)
+        t1 = perf_counter()
+    out = g.out
     label = [k] * g.n
     steps = 0
     emitted = 0
@@ -169,11 +199,11 @@ def _walk(g: Graph, k: int, sink: Sink,
                 return True
         return False
 
-    extend(k, ordering.order, ())
+    extend(k, g.order, ())
     return _finish(t0, t1, emitted, steps)
 
 
-def list_triangles(g: Graph, sink: Sink) -> EnumerationStats:
+def list_triangles(g: Graph | Orientation, sink: Sink) -> EnumerationStats:
     """List every triangle exactly once in O(m * degeneracy) time.
 
     The k=3 case of the k-clique walk (see :func:`list_kcliques`), with
@@ -262,19 +292,20 @@ def count_4cycles(g: Graph) -> int:
     return list_4cycles(g, lambda record: None).emitted_count
 
 
-def list_kcliques(g: Graph, k: int, sink: Sink) -> EnumerationStats:
+def list_kcliques(g: Graph | Orientation, k: int,
+                  sink: Sink) -> EnumerationStats:
     """List every k-clique exactly once, k >= 2, as an ascending tuple.
 
-    The graph is ordered once by degeneracy and every edge is pointed at
-    its later endpoint, so each out-list holds at most degeneracy-many
-    vertices.  Each clique is then built once, from its earliest vertex,
-    by intersecting out-lists (Chiba & Nishizeki 1985; kClist, Danisch,
-    Balalau & Sozio 2018), in O(m * degeneracy^(k-2)) time plus the output
-    size.  k=2 emits every edge.
+    A :class:`Graph` is oriented once by :func:`orient`, so each out-list
+    holds at most degeneracy-many vertices; an :class:`Orientation` is
+    walked as it is.  Each clique is then built once, from its earliest
+    vertex, by intersecting out-lists (Chiba & Nishizeki 1985; kClist,
+    Danisch, Balalau & Sozio 2018), in O(m * degeneracy^(k-2)) time plus
+    the output size.  k=2 emits every edge.
 
     Emission order: cliques are grouped by their earliest vertex in the
-    degeneracy order; within a group they follow the rank of their later
-    vertices, lexicographically.
+    orientation's order; within a group they follow the out-lists, which
+    :func:`orient` sorts by the rank of the later vertices.
     """
     if k < 2:
         raise KTooSmallError(k)

@@ -19,9 +19,9 @@ from math import ceil
 from time import perf_counter
 from typing import Iterator, Mapping, Optional
 
-from .core import Graph, from_edge_list, validate_kpartite
+from .core import Graph, validate_kpartite
 from .errors import BadEpsilonError, BadModulusError, BadSError
-from .listing import CliqueRecord, list_kcliques
+from .listing import CliqueRecord, Orientation, list_kcliques, orient
 from .primes import is_prime, next_prime_above
 
 log = logging.getLogger(__name__)
@@ -222,17 +222,18 @@ def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKe
             yield prefix + (j,)
 
 
-EdgeIndex = list  # index[slot][i]: list of edges, see index_edges()
+EdgeIndex = list  # index[slot][i]: list of pointed edges, see index_edges()
 
 
 def index_edges(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
-                partition: IntervalPartition) -> EdgeIndex:
+                partition: IntervalPartition,
+                oriented: Orientation) -> EdgeIndex:
     """Group the edges once by part pair and hashed interval.
 
-    ``index[slot][i]`` lists, in ``g.base.edges()`` order, the edges
-    between the parts ``pair_order(k)[slot]`` whose hashed weight falls
-    in interval i.  One pass over the edges; buckets are then assembled
-    from these lists by :func:`extract_bucket`.
+    ``index[slot][i]`` lists the edges between the parts
+    ``pair_order(k)[slot]`` whose hashed weight falls in interval i, each
+    as (u, v) pointed as in ``oriented = orient(g.base)``.  One pass over
+    the edges; :func:`extract_bucket` assembles buckets from these lists.
     """
     pairs = pair_order(g.k)
     slot = {}
@@ -242,26 +243,30 @@ def index_edges(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
     assert labels is not None
     interval_of = partition.interval_of
     index = [[[] for _ in range(partition.s)] for _ in pairs]
-    for e in g.base.edges():
-        row = index[slot[labels[e[0]], labels[e[1]]]]
-        row[interval_of(hashed[e])].append(e)
+    for u, later in enumerate(oriented.out):
+        for v in later:
+            row = index[slot[labels[u], labels[v]]]
+            row[interval_of(hashed[edge_key(u, v)])].append((u, v))
     return index
 
 
-def extract_bucket(g: WeightedKPartiteGraph, index: EdgeIndex,
-                   key: BucketKey) -> Graph:
-    """Subgraph keeping, per part pair, the edges hashed into the keyed interval.
+def extract_bucket(oriented: Orientation, index: EdgeIndex,
+                   key: BucketKey) -> Orientation:
+    """Bucket keeping, per part pair, the edges hashed into the keyed interval.
 
-    ``index`` comes from :func:`index_edges`; the bucket is the union of
-    the C(k,2) lists ``index[slot][key[slot]]``, so it costs its own size
-    plus n, not a pass over every edge.  Vertex ids and the base graph's
-    part labels are kept, so cliques listed in the bucket are directly
-    cliques of the original graph.
+    ``index`` comes from :func:`index_edges` with the same ``oriented``.
+    The out-lists are filled straight from the C(k,2) lists
+    ``index[slot][key[slot]]`` under the base order, so a bucket costs
+    its own size plus n, with no validation, sort or :class:`Graph`.
+    Vertex ids are kept, so its cliques are cliques of the original graph.
     """
     if len(key) != len(index):
         raise ValueError(f"key has {len(key)} entries, expected {len(index)}")
-    kept = chain.from_iterable(index[slot][i] for slot, i in enumerate(key))
-    return from_edge_list(kept, g.base.n, g.base.part_label)
+    lists = [index[slot][i] for slot, i in enumerate(key)]
+    out: list[list[int]] = [[] for _ in range(oriented.n)]
+    for u, v in chain.from_iterable(lists):
+        out[u].append(v)
+    return Orientation(oriented.n, sum(map(len, lists)), oriented.order, out)
 
 
 def choose_s(n: int, k: int, epsilon: float) -> int:
@@ -303,11 +308,14 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     """Find some one-vertex-per-part k-clique of total weight zero, if any.
 
     Chooses p as the smallest prime above max(k^2 * weight_bound, n),
-    hashes the weights, indexes the edges once by part pair and hashed
-    interval (:func:`index_edges`), and walks the admissible bucket keys
-    in lexicographic order, listing the cliques of each bucket assembled
-    from that index.  ``extract_s`` counts the index build plus every
-    bucket assembly.
+    hashes the weights, orients the base graph once (:func:`orient`),
+    indexes its edges once by part pair and hashed interval
+    (:func:`index_edges`), and walks the admissible bucket keys in
+    lexicographic order, listing the cliques of each bucket's
+    :class:`Orientation` assembled from that index.  ``extract_s``
+    counts the orientation, the index build and every bucket assembly;
+    ``search_s`` the walks with their checks.  Within a bucket, cliques
+    come grouped by their earliest vertex in the base graph's order.
     Every listed clique is checked against the original weights, and the
     first exact hit wins, so the search is deterministic for a fixed
     seed.  A zero-sum clique always lands in the bucket determined by its
@@ -330,12 +338,13 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     report = SolveReport(witness=None, witness_sum=None, p=p, s=partition.s)
     t1 = perf_counter()
     report.hash_s = t1 - t0
-    index = index_edges(g, hashed, partition)
+    oriented = orient(g.base)
+    index = index_edges(g, hashed, partition, oriented)
     report.extract_s = perf_counter() - t1
 
     for key in admissible_tuples(partition, k):
         b0 = perf_counter()
-        bucket = extract_bucket(g, index, key)
+        bucket = extract_bucket(oriented, index, key)
         b1 = perf_counter()
         report.extract_s += b1 - b0
         report.buckets_examined += 1

@@ -23,6 +23,7 @@ from arbolist import (
     list_4cycles,
     list_kcliques,
     list_triangles,
+    orient,
     random_gnm,
     triangle_record,
 )
@@ -239,6 +240,34 @@ def test_kcliques_orient_the_graph_once(monkeypatch):
     monkeypatch.setattr(listing, "Graph", no_graph)
     assert count_kcliques(complete(8), 5) == comb(8, 5)
     assert len(calls) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graphs())
+def test_orient_out_lists_are_rank_sorted_suffixes(g):
+    """Out-lists are the later neighbours, sorted by position."""
+    ordering = degeneracy_ordering(g)
+    oriented = orient(g)
+    assert (oriented.n, oriented.m) == (g.n, g.m)
+    assert oriented.order == ordering.order
+    by_rank, _, split = listing._rank_sorted_adjacency(g, ordering.position)
+    assert [list(by_rank[v][split[v]:]) for v in range(g.n)] == [
+        list(later) for later in oriented.out]
+    assert sorted(oriented.edges()) == sorted(g.edges())
+
+
+def test_listers_walk_an_orientation_as_it_is():
+    """An Orientation gives the same records in the same order, pre 0."""
+    g = random_gnm(40, 300, 1)
+    oriented = orient(g)
+    for lister, args in ((list_triangles, ()), (list_kcliques, (3,)),
+                         (list_kcliques, (4,))):
+        from_graph, from_view = [], []
+        s1 = lister(g, *args, from_graph.append)
+        s2 = lister(oriented, *args, from_view.append)
+        assert from_graph == from_view and from_graph
+        assert (s1.steps, s1.emitted_count) == (s2.steps, s2.emitted_count)
+        assert s2.preprocess_time == 0
 
 
 @pytest.mark.parametrize("seed", [1, 2])

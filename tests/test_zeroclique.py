@@ -12,17 +12,22 @@ from arbolist import (
     WeightedKPartiteGraph,
     admissible_tuples,
     apply_hash_weights,
+    brute_kcliques,
     brute_zero_kclique,
     choose_s,
     extract_bucket,
     from_edge_list,
     hash_weights,
     index_edges,
+    list_kcliques,
+    orient,
     partition_intervals,
     random_weighted_kpartite,
     sample_hash_params,
     solve_zero_kclique,
 )
+from arbolist import core, listing
+from arbolist.primes import next_prime_above
 
 
 def _triangle_instance(weights=(5, 5, 5), bound=None):
@@ -161,24 +166,35 @@ def test_admissible_count_bound():
         assert sum(1 for _ in admissible_tuples(part, k)) <= bound
 
 
+def _indexed(wg, hashed, part):
+    """The base orientation and the edge index, as the solver builds them."""
+    oriented = orient(wg.base)
+    return oriented, index_edges(wg, hashed, part, oriented)
+
+
+def _as_graph(bucket):
+    """A validated Graph on a bucket's edges."""
+    return from_edge_list(bucket.edges(), bucket.n)
+
+
 def test_extract_bucket_s1_is_whole_graph():
     wg = random_weighted_kpartite(3, 4, 0.7, 10, seed=2)
     hashed, _ = hash_weights(wg, 101, seed=0)
     part = partition_intervals(101, 1)
-    bucket = extract_bucket(wg, index_edges(wg, hashed, part), (0, 0, 0))
-    assert bucket.edge_set() == wg.base.edge_set()
+    bucket = extract_bucket(*_indexed(wg, hashed, part), (0, 0, 0))
+    assert _as_graph(bucket).edge_set() == wg.base.edge_set()
 
 
 def test_buckets_partition_each_pair_class():
     wg = random_weighted_kpartite(3, 4, 0.7, 10, seed=3)
     hashed, _ = hash_weights(wg, 101, seed=1)
     part = partition_intervals(101, 4)
-    index = index_edges(wg, hashed, part)
+    oriented, index = _indexed(wg, hashed, part)
     union = set()
     total = 0
     for key in product(range(part.s), repeat=3):
-        b = extract_bucket(wg, index, key)
-        edges = b.edge_set()
+        b = extract_bucket(oriented, index, key)
+        edges = _as_graph(b).edge_set()
         total += len(edges)
         union |= edges
     assert union == wg.base.edge_set()
@@ -192,11 +208,11 @@ def test_bucket_degree_mostly_bounded():
     wg = random_weighted_kpartite(3, 40, 0.5, 50, seed=0)
     hashed, _ = hash_weights(wg, 457, seed=0)
     part = partition_intervals(457, 4)
-    index = index_edges(wg, hashed, part)
+    oriented, index = _indexed(wg, hashed, part)
     rng = random.Random(5)
     keys = list(admissible_tuples(part, 3))
     for key in rng.sample(keys, 8):
-        bucket = extract_bucket(wg, index, key)
+        bucket = _as_graph(extract_bucket(oriented, index, key))
         ok = sum(1 for v in range(bucket.n)
                  if bucket.degree(v) <= 4 * (wg.base.degree(v) / part.s) + 8)
         assert ok / bucket.n >= 0.99
@@ -211,25 +227,71 @@ def test_bucket_equals_direct_filter():
         part = partition_intervals(p, 3)
         slot = {pq: i for i, pq in enumerate(combinations(range(k), 2))}
         labels = wg.base.part_label
-        index = index_edges(wg, hashed, part)
+        oriented, index = _indexed(wg, hashed, part)
+        position = {v: i for i, v in enumerate(oriented.order)}
         for key in admissible_tuples(part, k):
             want = set()
             for u, v in wg.base.edges():
                 pair = tuple(sorted((labels[u], labels[v])))
                 if part.interval_of(hashed[u, v]) == key[slot[pair]]:
                     want.add((u, v))
-            bucket = extract_bucket(wg, index, key)
-            assert bucket.edge_set() == want
+            bucket = extract_bucket(oriented, index, key)
+            assert _as_graph(bucket).edge_set() == want
             assert bucket.n == wg.base.n
-            assert bucket.part_label == labels
+            assert bucket.m == len(want)
+            assert bucket.order == oriented.order
+            for u, later in enumerate(bucket.out):
+                for v in later:
+                    # pointed from the earlier to the later endpoint
+                    assert position[u] < position[v]
+                    # joins the two parts of the slot its interval is read at
+                    pair = tuple(sorted((labels[u], labels[v])))
+                    edge = (min(u, v), max(u, v))
+                    assert part.interval_of(hashed[edge]) == key[slot[pair]]
 
 
 def test_extract_bucket_rejects_wrong_key_length():
     wg = random_weighted_kpartite(3, 4, 0.7, 10, seed=2)
     hashed, _ = hash_weights(wg, 101, seed=0)
-    index = index_edges(wg, hashed, partition_intervals(101, 2))
+    oriented, index = _indexed(wg, hashed, partition_intervals(101, 2))
     with pytest.raises(ValueError):
-        extract_bucket(wg, index, (0, 0))
+        extract_bucket(oriented, index, (0, 0))
+
+
+def test_bucket_cliques_match_validated_graphs():
+    """Cliques listed on a bucket's Orientation match a validated rebuild.
+
+    For every admissible bucket, the walk on the Orientation, the walk on
+    ``from_edge_list`` of the same edges and brute force on that graph list
+    the same cliques; a no-witness solve lists their total.
+    """
+    checked = 0
+    for k, n_part, s in ((3, 7, 3), (4, 5, 2)):
+        for seed in range(4):
+            wg = random_weighted_kpartite(k, n_part, 0.7, 40, seed)
+            if brute_zero_kclique(wg, k) is not None:
+                continue
+            p = next_prime_above(max(k * k * wg.weight_bound, wg.base.n))
+            hashed, _ = hash_weights(wg, p, seed)
+            part = partition_intervals(p, s)
+            oriented, index = _indexed(wg, hashed, part)
+            total = 0
+            for key in admissible_tuples(part, k):
+                bucket = extract_bucket(oriented, index, key)
+                graph = _as_graph(bucket)
+                listed = []
+                stats = list_kcliques(bucket, k, listed.append)
+                assert stats.preprocess_time == 0
+                rebuilt = []
+                list_kcliques(graph, k, rebuilt.append)
+                assert len(listed) == len(set(listed))
+                assert set(listed) == set(rebuilt) == brute_kcliques(graph, k)
+                total += len(listed)
+            report = solve_zero_kclique(wg, k, s=s, seed=seed)
+            assert not report.found
+            assert report.cliques_listed_total == total
+            checked += 1
+    assert checked >= 4
 
 
 def test_solver_hashes_each_edge_into_an_interval_once(monkeypatch):
@@ -295,10 +357,40 @@ def test_solver_witness_reverifies():
 
 
 def test_solver_flag_matches_oracle():
-    for seed in range(25):
-        wg = random_weighted_kpartite(3, 6, 0.5, 30, seed)
-        report = solve_zero_kclique(wg, 3, s=1 + seed % 4, seed=seed)
-        assert report.found == (brute_zero_kclique(wg, 3) is not None)
+    outcomes = set()
+    for k, n_part, bound in ((3, 6, 30), (4, 4, 4)):
+        for seed in range(25):
+            wg = random_weighted_kpartite(k, n_part, 0.5, bound, seed)
+            report = solve_zero_kclique(wg, k, s=1 + seed % 4, seed=seed)
+            assert report.found == (brute_zero_kclique(wg, k) is not None)
+            outcomes.add((k, report.found))
+            if report.found:
+                labels = wg.base.part_label
+                assert sorted(labels[v] for v in report.witness) == list(
+                    range(k))
+                assert sum(wg.weight(u, v) for u, v in
+                           combinations(report.witness, 2)) == 0
+    assert outcomes == {(3, False), (3, True), (4, False), (4, True)}
+
+
+def test_solver_orients_once(monkeypatch):
+    """One solve orders the base graph once and builds no Graph at all."""
+    wg = random_weighted_kpartite(3, 10, 0.5, 50, seed=5)
+    orderings = []
+
+    def counted(g):
+        orderings.append(g)
+        return core.degeneracy_ordering(g)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the solve built a Graph")
+
+    monkeypatch.setattr(listing, "degeneracy_ordering", counted)
+    # from_edge_list and every other builder construct through Graph.__init__
+    monkeypatch.setattr(core.Graph, "__init__", no_graph)
+    report = solve_zero_kclique(wg, 3, s=4, seed=3)
+    assert report.buckets_examined == 48
+    assert orderings == [wg.base]
 
 
 def test_solver_deterministic():
