@@ -3,7 +3,8 @@
 Subcommands: gen, list, verify, solve-zero-clique, bench.  Record lines
 are "T a b c", "C4 a b c d", "K<k> v1 ... vk"; counts print as
 "COUNT <kind> <value>"; every listing run ends with
-"STATS pre=<s> emit=<s> count=<t> steps=<c>".  Exit codes: 0 success,
+"STATS pre=<s> emit=<s> count=<t> steps=<c> load=<s>", where load is the
+time to read the input file into a graph.  Exit codes: 0 success,
 1 verification mismatch, 2 usage or input errors.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from time import perf_counter
 from typing import Callable, Optional
 
 from . import bench as bench_mod
@@ -38,10 +40,11 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
-def _stats_line(stats: EnumerationStats) -> str:
+def _stats_line(stats: EnumerationStats, load: float) -> str:
     return (f"STATS pre={stats.preprocess_time:.6f} "
             f"emit={stats.emit_time:.6f} "
-            f"count={stats.emitted_count} steps={stats.steps}")
+            f"count={stats.emitted_count} steps={stats.steps} "
+            f"load={load:.6f}")
 
 
 def _print_record(kind: str, record) -> None:
@@ -94,7 +97,9 @@ def _run_lister(g: Graph, kind: str, k: Optional[int],
 
 
 def cmd_list(args) -> int:
+    t0 = perf_counter()
     g = graphio.read_edge_list(args.input)
+    load = perf_counter() - t0
     if args.count_only:
         count = 0
 
@@ -107,7 +112,7 @@ def cmd_list(args) -> int:
     else:
         stats = _run_lister(g, args.kind, args.k,
                             lambda record: _print_record(args.kind, record))
-    print(_stats_line(stats))
+    print(_stats_line(stats, load))
     return EXIT_OK
 
 

@@ -5,9 +5,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil
-from typing import Iterable, Iterator, Optional, Sequence
+from numbers import Integral
+from typing import Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
+    ArbolistError,
     DuplicateEdgeError,
     MissingLabelsError,
     SelfLoopError,
@@ -34,8 +38,8 @@ class Graph:
         # Trusted constructor: adj must already be sorted, symmetric and
         # loop-free.  Everyone else goes through from_edge_list().
         self.n = n
-        self._adj = tuple(tuple(nbrs) for nbrs in adj)
-        self.m = sum(len(nbrs) for nbrs in self._adj) // 2
+        self._adj = tuple(map(tuple, adj))
+        self.m = sum(map(len, self._adj)) // 2
         self.part_label = part_label
 
     def __repr__(self) -> str:
@@ -68,31 +72,67 @@ class Graph:
         return set(self.edges())
 
 
-def from_edge_list(pairs: Iterable[tuple[int, int]], n: int,
+def from_edge_list(pairs: Union[Iterable[tuple[int, int]], np.ndarray], n: int,
                    part_label: Optional[dict[int, int]] = None) -> Graph:
-    """Build a Graph from an iterable of (u, v) pairs.
+    """Build a Graph from (u, v) pairs: any iterable of them, or an (m, 2)
+    integer array.
 
-    Rejects self loops, out-of-range endpoints, and duplicate pairs in
-    either orientation.
+    Rejects out-of-range endpoints, self loops and duplicate pairs in
+    either orientation, checking all pairs at once.  The error names the
+    first offending pair in input order and is the one a pair-by-pair
+    check raises: u in range, then v in range, then u != v, then the pair
+    unseen so far, so a duplicate comes in the orientation of its second
+    occurrence.  The error's ``index`` is that pair's input position.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    for u, v in pairs:
-        if not 0 <= u < n:
-            raise VertexOutOfRangeError(u, n)
-        if not 0 <= v < n:
-            raise VertexOutOfRangeError(v, n)
-        if u == v:
-            raise SelfLoopError(u)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdgeError(u, v)
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    for nbrs in adj:
-        nbrs.sort()
+    given = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    e = _id_array(given, n)
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    # Duplicates share a canonical key; each bad pair gets its own below 0.
+    key = np.where(bad, -1 - np.arange(len(e)), lo * n + hi)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    bad[order[1:][ranked[1:] == ranked[:-1]]] = True
+    if bad.any():
+        i = int(bad.argmax())
+        raise _pair_error(given[i], n, i)
+    # CSR: both orientations of every edge, sorted by (source, target).
+    arcs = np.sort(np.concatenate((key, hi * n + lo)))
+    targets = tuple((arcs % n).tolist())
+    ends = np.bincount(arcs // n, minlength=n).cumsum().tolist()
+    adj = [targets[a:b] for a, b in zip([0] + ends, ends)]
     return Graph(n, adj, part_label)
+
+
+def _id_array(given, n: int) -> np.ndarray:
+    """``given`` as an int64 (m, 2) array, ids outside [0, n) clipped to
+    -1 or n, so ids beyond int64 stay out of range without overflow."""
+    a = np.asarray(given)
+    if a.dtype.kind == "f" and not isinstance(given, np.ndarray):
+        # Python ints on both sides of the int64 range promote to float.
+        a = np.array(given, dtype=object)
+    if a.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"expected (u, v) pairs, got shape {a.shape}")
+    if a.dtype.kind not in "iub" and not (
+            a.dtype.kind == "O" and all(isinstance(x, Integral) for x in a.flat)):
+        raise TypeError("vertex ids must be integers")
+    if a.dtype.kind != "i":
+        a = np.where(a < 0, -1, np.where(a >= n, n, a))
+    return a.astype(np.int64, copy=False)
+
+
+def _pair_error(pair, n: int, index: int) -> ArbolistError:
+    """The error a pair-by-pair check raises for the pair at ``index``."""
+    u, v = (int(x) for x in pair)
+    if not 0 <= u < n:
+        return VertexOutOfRangeError(u, n, index)
+    if not 0 <= v < n:
+        return VertexOutOfRangeError(v, n, index)
+    if u == v:
+        return SelfLoopError(u, index)
+    return DuplicateEdgeError(u, v, index)
 
 
 @dataclass(frozen=True)

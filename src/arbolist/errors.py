@@ -2,29 +2,37 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ArbolistError(Exception):
     """Base class for every error this library raises on bad input."""
 
 
+# ``index`` on the next three errors is the position of the offending pair
+# in the input of ``from_edge_list``, or None where another call raised it.
+
 class SelfLoopError(ArbolistError):
-    def __init__(self, u: int):
+    def __init__(self, u: int, index: Optional[int] = None):
         super().__init__(f"self loop at vertex {u}")
         self.u = u
+        self.index = index
 
 
 class DuplicateEdgeError(ArbolistError):
-    def __init__(self, u: int, v: int):
+    def __init__(self, u: int, v: int, index: Optional[int] = None):
         super().__init__(f"duplicate edge ({u}, {v})")
         self.u = u
         self.v = v
+        self.index = index
 
 
 class VertexOutOfRangeError(ArbolistError):
-    def __init__(self, v: int, n: int):
+    def __init__(self, v: int, n: int, index: Optional[int] = None):
         super().__init__(f"vertex {v} out of range for n={n}")
         self.v = v
         self.n = n
+        self.index = index
 
 
 class MissingLabelsError(ArbolistError):

@@ -15,44 +15,97 @@ import re
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from .core import Graph, from_edge_list
-from .errors import ParseError
-from .zeroclique import WeightedKPartiteGraph
+from .errors import (
+    DuplicateEdgeError,
+    ParseError,
+    SelfLoopError,
+    VertexOutOfRangeError,
+)
+from .zeroclique import WeightedKPartiteGraph, max_weight
 
 PathLike = Union[str, Path]
 
 _HEADER = re.compile(r"#\s*n=(\d+)(?:\s+k=(\d+))?\s*$")
+# Vertex ids and n stay below this, so a stray huge id fails at its line
+# instead of sizing every per-vertex structure by it.
+ID_LIMIT = 2 ** 31
 
 
-def _parse_lines(path: PathLike, weighted: bool):
-    """Returns (header_n, header_k, [(lineno, int fields)]) for one file."""
-    header_n: Optional[int] = None
-    header_k: Optional[int] = None
-    rows: list[tuple[int, list[int]]] = []
+def _parse(path: PathLike, weighted: bool):
+    """n (from the header, else max id + 1) and the header's k, then the
+    data rows of one file: their line numbers, their vertex ids as an
+    int64 (m, 2) array and, for a weighted file, their weights as Python
+    ints.
+
+    The rows are checked and converted in bulk; only a file that fails
+    is walked row by row, to name the first faulty line.
+    """
     want = 3 if weighted else 2
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _HEADER.match(line)
-                if m and header_n is None:
-                    header_n = int(m.group(1))
-                    header_k = int(m.group(2)) if m.group(2) else None
-                continue
-            fields = line.split()
-            if len(fields) != want:
-                raise ParseError(path, lineno,
-                                 f"expected {want} fields, got {len(fields)}")
-            try:
-                row = [int(f) for f in fields]
-            except ValueError:
-                raise ParseError(path, lineno, f"non-integer field in {line!r}")
-            if row[0] < 0 or row[1] < 0:
-                raise ParseError(path, lineno, "negative vertex id")
-            rows.append((lineno, row))
-    return header_n, header_k, rows
+        stripped = list(map(str.strip, fh.read().split("\n")))
+    n, header_k = _header(path, stripped)
+    linenos = [i for i, line in enumerate(stripped, 1)
+               if line and line[0] != "#"]
+    data = [stripped[i - 1] for i in linenos]
+    del stripped
+    parsed = _bulk(data, want)
+    if parsed is None:
+        raise _first_fault(path, linenos, data, want)
+    ids, weights = parsed
+    if n is None:
+        n = int(ids.max()) + 1 if len(ids) else 0
+    return n, header_k, np.array(linenos), ids, weights
+
+
+def _bulk(data: list[str], want: int):
+    """Vertex ids and weights of the data lines, or None if one is faulty."""
+    if not set(map(len, map(str.split, data))) <= {want}:
+        return None
+    tokens = " ".join(data).split()
+    columns = [tokens[j::want] for j in range(want)]
+    del tokens
+    try:
+        ids = np.array(columns[:2], dtype=np.int64).T
+        weights = list(map(int, columns[2])) if want == 3 else None
+    except (ValueError, OverflowError):
+        return None
+    if len(ids) and (ids.min() < 0 or ids.max() >= ID_LIMIT):
+        return None
+    return ids, weights
+
+
+def _header(path: PathLike, stripped: list[str]):
+    """n and k of the first "# n=<N> [k=<K>]" line, or None for each."""
+    for lineno, line in enumerate(stripped, 1):
+        match = line[:1] == "#" and _HEADER.match(line)
+        if match:
+            n = int(match.group(1))
+            if n >= ID_LIMIT:
+                raise ParseError(path, lineno, f"n={n} is not below 2**31")
+            return n, int(match.group(2)) if match.group(2) else None
+    return None, None
+
+
+def _first_fault(path: PathLike, linenos, data, want: int) -> ParseError:
+    """The error of the first data line that fails a check, line by line."""
+    for lineno, line in zip(linenos, data):
+        fields = line.split()
+        if len(fields) != want:
+            return ParseError(path, lineno,
+                              f"expected {want} fields, got {len(fields)}")
+        try:
+            row = [int(f) for f in fields]
+        except ValueError:
+            return ParseError(path, lineno, f"non-integer field in {line!r}")
+        if row[0] < 0 or row[1] < 0:
+            return ParseError(path, lineno, "negative vertex id")
+        if max(row[:2]) >= ID_LIMIT:
+            return ParseError(path, lineno,
+                              f"vertex id {max(row[:2])} is not below 2**31")
+    raise AssertionError("the bulk parse rejected a file with no faulty line")
 
 
 def read_labels(path: PathLike) -> dict[int, int]:
@@ -83,45 +136,22 @@ def _sibling_labels(path: PathLike,
 
 def read_edge_list(path: PathLike,
                    labels_path: Optional[PathLike] = None) -> Graph:
-    header_n, _, rows = _parse_lines(path, weighted=False)
-    pairs = [(r[0], r[1]) for _, r in rows]
-    n = header_n
-    if n is None:
-        n = 1 + max((max(u, v) for u, v in pairs), default=-1)
+    n, _, linenos, ids, _ = _parse(path, weighted=False)
     labels = _sibling_labels(path, labels_path)
     if labels is not None and len(labels) != n:
         raise ParseError(path, 0,
                          f"label file has {len(labels)} entries for n={n}")
-    return _build(path, rows, pairs, n, labels)
+    return _build(path, linenos, ids, n, labels)
 
 
-def _build(path: PathLike, rows, pairs, n: int,
+def _build(path: PathLike, linenos, ids, n: int,
            labels: Optional[dict[int, int]]) -> Graph:
-    """``from_edge_list`` on the parsed pairs, its errors as ParseError."""
+    """``from_edge_list`` on the parsed ids, its errors as ParseError at
+    the line of the pair it rejects."""
     try:
-        return from_edge_list(pairs, n, labels)
-    except Exception as exc:
-        raise ParseError(path, _rejected_line(rows, n), str(exc))
-
-
-def _rejected_line(rows, n: int) -> int:
-    """Line of the first row ``from_edge_list`` rejects, or 0 if none.
-
-    Replays the rows through it one at a time; runs only after a build
-    has failed, so loading a good file pays nothing for it.
-    """
-    at = 0
-
-    def replay():
-        nonlocal at
-        for at, r in rows:
-            yield r[0], r[1]
-
-    try:
-        from_edge_list(replay(), n)
-    except Exception:
-        return at
-    return 0
+        return from_edge_list(ids, n, labels)
+    except (DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError) as exc:
+        raise ParseError(path, int(linenos[exc.index]), str(exc))
 
 
 def read_weighted_kpartite(path: PathLike,
@@ -130,20 +160,17 @@ def read_weighted_kpartite(path: PathLike,
     """Read "u v w" lines plus a labels sibling into a weighted instance.
 
     The part count comes from the header k= field when present, else
-    max label + 1.  The weight bound is the largest |w| observed.
+    max label + 1.  The weight bound is the largest |w| observed; a
+    weight too large for the solver on k parts fails at its line.
     """
-    header_n, header_k, rows = _parse_lines(path, weighted=True)
-    pairs = [(r[0], r[1]) for _, r in rows]
+    n, header_k, linenos, ids, row_weights = _parse(path, weighted=True)
     weights = {}
-    for lineno, r in rows:
-        key = (r[0], r[1]) if r[0] < r[1] else (r[1], r[0])
-        if key in weights and weights[key] != r[2]:
+    for lineno, (u, v), w in zip(linenos.tolist(), ids.tolist(), row_weights):
+        key = (u, v) if u < v else (v, u)
+        if key in weights and weights[key] != w:
             raise ParseError(path, lineno,
                              f"conflicting weights for edge {key}")
-        weights[key] = r[2]
-    n = header_n
-    if n is None:
-        n = 1 + max((max(u, v) for u, v in pairs), default=-1)
+        weights[key] = w
     labels = _sibling_labels(path, labels_path)
     if labels is None:
         raise ParseError(path, 0, "weighted k-partite file needs a labels file")
@@ -151,12 +178,19 @@ def read_weighted_kpartite(path: PathLike,
         raise ParseError(path, 0,
                          f"label file has {len(labels)} entries for n={n}")
     k = header_k if header_k is not None else 1 + max(labels.values(), default=0)
-    bound = max((abs(w) for w in weights.values()), default=0)
-    base = _build(path, rows, pairs, n, labels)
+    bound = max(map(abs, row_weights), default=0)
+    base = _build(path, linenos, ids, n, labels)
     try:
-        return WeightedKPartiteGraph(base, k, weights, bound)
+        wg = WeightedKPartiteGraph(base, k, weights, bound)
     except Exception as exc:
         raise ParseError(path, 0, str(exc))
+    limit = max_weight(k)
+    if bound > limit:
+        i = next(i for i, w in enumerate(row_weights) if abs(w) > limit)
+        raise ParseError(path, int(linenos[i]),
+                         f"weight {row_weights[i]} is beyond the solver's "
+                         f"limit {limit} for k={k}")
+    return wg
 
 
 def _write_labels(path: PathLike, g: Graph) -> None:

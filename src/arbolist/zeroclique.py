@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Optional
 from .core import Graph, validate_kpartite
 from .errors import BadEpsilonError, BadModulusError, BadSError
 from .listing import CliqueRecord, Orientation, list_kcliques, orient
-from .primes import is_prime, next_prime_above
+from .primes import EXACT_BELOW, is_prime, next_prime_above
 
 log = logging.getLogger(__name__)
 
@@ -79,6 +79,15 @@ class WeightedKPartiteGraph:
 
     def weight(self, u: int, v: int) -> int:
         return self.weights[edge_key(u, v)]
+
+
+def max_weight(k: int) -> int:
+    """Largest |weight| the solver takes on k parts.
+
+    Its prime p, the next one above k^2 * W, is at most 2 * k^2 * W
+    (Bertrand's postulate), which must stay in ``is_prime``'s exact range.
+    """
+    return (EXACT_BELOW // 2 - 1) // max(k * k, 1)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """End-to-end runs of every CLI path, in process via main()."""
 
 from math import comb
+from time import perf_counter
+
+import pytest
 
 from arbolist.cli import main
 
@@ -93,6 +96,47 @@ def test_list_parse_error_exit_code(tmp_path, capsys):
                        "--kind", "triangle")
     assert code == 2
     assert "bad.txt:1" in err
+
+
+def test_stats_line_ends_with_the_load_time(tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, _ = run(capsys, "list", "--input", str(path),
+                       "--kind", "triangle")
+    assert code == 0
+    stats = out.splitlines()[-1]
+    assert stats.startswith("STATS pre=")
+    fields = [kv.split("=", 1) for kv in stats.split()[1:]]
+    assert [k for k, _ in fields] == ["pre", "emit", "count", "steps", "load"]
+    assert float(fields[-1][1]) >= 0
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("id.txt", "0 1\n1 99999999999999999999\n", 2),
+    ("n.txt", "# n=99999999999999999999\n0 1\n", 1),
+])
+def test_huge_vertex_id_or_n_fails_fast(tmp_path, capsys, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    t0 = perf_counter()
+    code, out, err = run(capsys, "list", "--input", str(path),
+                         "--kind", "triangle")
+    assert perf_counter() - t0 < 5
+    assert code == 2 and out == ""
+    assert f"{name}:{line}: " in err and "2**31" in err
+
+
+def test_huge_weight_fails_fast(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text("# n=3 k=3\n0 1 1\n0 2 1\n1 2 "
+                    + "9" * 30 + "\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n2\n")
+    t0 = perf_counter()
+    code, out, err = run(capsys, "solve-zero-clique", "--input", str(path),
+                         "--k", "3", "--s", "2")
+    assert perf_counter() - t0 < 5
+    assert code == 2 and out == ""
+    assert "w.txt:4: weight 999" in err
 
 
 def test_verify_passes_on_corpus_graph(tmp_path, capsys):

@@ -1,10 +1,12 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from arbolist import (
+    ArbolistError,
     DuplicateEdgeError,
     SelfLoopError,
     VertexOutOfRangeError,
@@ -45,6 +47,94 @@ def test_from_edge_list_rejects_out_of_range():
         from_edge_list([(0, 5)], 3)
     with pytest.raises(VertexOutOfRangeError):
         from_edge_list([(-1, 0)], 3)
+
+
+def test_from_edge_list_takes_an_array():
+    g = from_edge_list(np.array([[2, 0], [1, 2]]), 4)
+    assert g.neighbors(2) == (0, 1) and g.m == 2
+    with pytest.raises(DuplicateEdgeError) as err:
+        from_edge_list(np.array([[0, 1], [1, 2], [1, 0]]), 3)
+    assert (err.value.u, err.value.v, err.value.index) == (1, 0, 2)
+
+
+def test_from_edge_list_reports_ids_beyond_int64_as_out_of_range():
+    with pytest.raises(VertexOutOfRangeError) as err:
+        from_edge_list([(0, 1), (1, 2 ** 70)], 3)
+    assert (err.value.v, err.value.index) == (2 ** 70, 1)
+
+
+def _pair_by_pair(pairs, n):
+    """The pair-by-pair build ``from_edge_list`` replaced: (adjacency,
+    None) for good input, else (None, (error, position of its pair))."""
+    adj = [[] for _ in range(n)]
+    seen = set()
+    at = 0
+    try:
+        for at, (u, v) in enumerate(pairs):
+            if not 0 <= u < n:
+                raise VertexOutOfRangeError(u, n)
+            if not 0 <= v < n:
+                raise VertexOutOfRangeError(v, n)
+            if u == v:
+                raise SelfLoopError(u)
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise DuplicateEdgeError(u, v)
+            seen.add(key)
+            adj[u].append(v)
+            adj[v].append(u)
+    except ArbolistError as exc:
+        return None, (exc, at)
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj), None
+
+
+@st.composite
+def planted_pair_lists(draw):
+    """Distinct edges in random orientations, with up to four faults
+    planted at random positions: duplicates in either orientation, self
+    loops, and negative, out-of-range or beyond-int64 ids."""
+    n = draw(st.integers(1, 10))
+    candidates = list(combinations(range(n), 2))
+    edges = (draw(st.lists(st.sampled_from(candidates), unique=True))
+             if candidates else [])
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    ids = st.one_of(st.integers(0, n - 1), st.integers(-3, -1),
+                    st.integers(n, n + 3),
+                    st.sampled_from([2 ** 63, 2 ** 70, -2 ** 63 - 1]))
+    for _ in range(draw(st.integers(0, 4))):
+        fault = draw(st.sampled_from(("duplicate", "loop", "ids")))
+        if fault == "duplicate" and pairs:
+            u, v = draw(st.sampled_from(pairs))
+            planted = (v, u) if draw(st.booleans()) else (u, v)
+        elif fault == "loop":
+            x = draw(ids)
+            planted = (x, x)
+        else:
+            planted = (draw(ids), draw(ids))
+        pairs.insert(draw(st.integers(0, len(pairs))), planted)
+    return n, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_pair_lists())
+def test_from_edge_list_matches_the_pair_by_pair_build(case):
+    n, pairs = case
+    adj, failure = _pair_by_pair(pairs, n)
+    fits = all(-2 ** 63 <= x < 2 ** 63 for pair in pairs for x in pair)
+    array = np.array(pairs, dtype=np.int64 if fits else object)
+    for given_pairs in (pairs, iter(pairs), array):
+        if failure is None:
+            assert from_edge_list(given_pairs, n)._adj == adj
+            continue
+        expected, at = failure
+        with pytest.raises(ArbolistError) as err:
+            from_edge_list(given_pairs, n)
+        got = err.value
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+        assert got.index == at
+        assert ({k: v for k, v in vars(got).items() if k != "index"}
+                == {k: v for k, v in vars(expected).items() if k != "index"})
 
 
 def test_has_edge_rejects_out_of_range():

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from itertools import combinations
 from pathlib import Path
@@ -13,6 +14,7 @@ from arbolist import (
     random_weighted_kpartite,
 )
 from arbolist.graphio import (
+    ID_LIMIT,
     read_edge_list,
     read_weighted_kpartite,
     write_edge_list,
@@ -104,6 +106,101 @@ def test_construction_error_points_at_its_line(tmp_path, text, line, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("# n=3\n0 1\n1 2147483648\n", 3, "vertex id 2147483648 is not below"),
+    ("0 1\n99999999999999999999 0\n", 2, "is not below 2**31"),
+    ("# n=2147483648\n0 1\n", 1, "n=2147483648 is not below 2**31"),
+    ("0 1\n-99999999999999999999 0\n", 2, "negative vertex id"),
+    ("0 1\n0 1\x00\n", 2, "non-integer field"),
+])
+def test_ids_beyond_the_limit_fail_at_their_line(tmp_path, text, line, message):
+    p = tmp_path / "big.txt"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_edge_list(p)
+    assert err.value.lineno == line
+    assert message in str(err.value)
+
+
+def test_integer_fields_follow_int_syntax(tmp_path):
+    p = tmp_path / "syntax.txt"
+    p.write_text("+0 007\n1_0 2\n")
+    g = read_edge_list(p)
+    assert g.n == 11 and g.edge_set() == {(0, 7), (2, 10)}
+
+
+_REFERENCE_HEADER = re.compile(r"#\s*n=(\d+)(?:\s+k=(\d+))?\s*$")
+
+
+def _line_by_line(path):
+    """(line, message) of the first fault a loader finds that reads one
+    line at a time and adds each pair in turn, or None."""
+    header_n, rows = None, []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                m = _REFERENCE_HEADER.match(line)
+                if m and header_n is None:
+                    header_n = int(m.group(1))
+                continue
+            fields = line.split()
+            if len(fields) != 2:
+                return lineno, f"expected 2 fields, got {len(fields)}"
+            try:
+                u, v = (int(f) for f in fields)
+            except ValueError:
+                return lineno, f"non-integer field in {line!r}"
+            if u < 0 or v < 0:
+                return lineno, "negative vertex id"
+            if max(u, v) >= ID_LIMIT:
+                return lineno, f"vertex id {max(u, v)} is not below 2**31"
+            rows.append((lineno, u, v))
+    n = header_n
+    if n is None:
+        n = 1 + max((max(u, v) for _, u, v in rows), default=-1)
+    seen = set()
+    for lineno, u, v in rows:
+        for x in (u, v):
+            if not x < n:
+                return lineno, f"vertex {x} out of range for n={n}"
+        if u == v:
+            return lineno, f"self loop at vertex {u}"
+        if (min(u, v), max(u, v)) in seen:
+            return lineno, f"duplicate edge ({u}, {v})"
+        seen.add((min(u, v), max(u, v)))
+    return None
+
+
+_LINES = st.one_of(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).map(
+        lambda p: f"{p[0]} {p[1]}"),
+    st.sampled_from(["", "   ", "# a comment", "  # indented comment",
+                     "# n=8", "# n=5", "\t3\t4 ", "0 1 2", "7", "x 1",
+                     "-1 2", "+2 0", "2 2147483648", "1 3\x0c", "4\r5",
+                     "6 5\r"]),
+)
+
+
+@given(lines=st.lists(_LINES, max_size=25))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_error_line_matches_a_line_by_line_reader(tmp_path, lines):
+    p = _fresh(tmp_path, "g.txt")
+    p.write_text("\n".join(lines) + "\n")
+    expected = _line_by_line(p)
+    if expected is None:
+        g = read_edge_list(p)
+        assert g.m == len(g.edge_set())
+        return
+    with pytest.raises(ParseError) as err:
+        read_edge_list(p)
+    assert (err.value.lineno, str(err.value)) == (
+        expected[0], f"{p}:{expected[0]}: {expected[1]}")
+
+
 def test_weighted_construction_error_points_at_its_line(tmp_path):
     p = tmp_path / "wdup.txt"
     p.write_text("# n=3 k=3\n0 1 4\n1 2 4\n1 0 4\n")
@@ -122,6 +219,16 @@ def test_weighted_round_trip(tmp_path):
     assert back.base.edge_set() == wg.base.edge_set()
     assert back.weights == wg.weights
     assert back.weight_bound == max(abs(w) for w in wg.weights.values())
+
+
+def test_weight_beyond_the_solvers_range_fails_at_its_line(tmp_path):
+    p = tmp_path / "wbig.txt"
+    p.write_text("# n=3 k=3\n0 1 4\n1 2 -10000000000000000000000000000000\n")
+    (tmp_path / "wbig.txt.labels").write_text("0\n1\n2\n")
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert err.value.lineno == 3
+    assert "weight -10000000000000000000000000000000" in str(err.value)
 
 
 def test_weighted_requires_labels(tmp_path):

@@ -314,6 +314,24 @@ def test_triangle_count_matches_networkx_and_trace(n, m, seed):
     assert got == (a @ a @ a).trace() // 6
 
 
+@pytest.mark.parametrize("n, m, seed", [(3000, 15000, 5), (2000, 20000, 6),
+                                         (4000, 12000, 7)])
+def test_4cycle_count_matches_trace(n, m, seed):
+    """4-cycle counts above the oracle's n=256 guard, against linear
+    algebra: for a simple graph with degrees d and m edges,
+    trace(A^4) = 8 * 4-cycles + 2 * sum(d^2) - 2m."""
+    sparse = pytest.importorskip("scipy.sparse")
+    g = random_gnm(n, m, seed)
+    got = count_4cycles(g)
+    assert got > 0
+    u, v = (list(x) for x in zip(*g.edges()))
+    a = sparse.csr_array(([1] * (2 * m), (u + v, v + u)), shape=(n, n),
+                         dtype="int64")
+    a2 = a @ a
+    squares = sum(g.degree(x) ** 2 for x in range(n))
+    assert 8 * got == (a2 @ a2).trace() - 2 * squares + 2 * m
+
+
 def test_stats_fields_populated():
     _, stats = collect(list_triangles, complete(8))
     assert stats.preprocess_time >= 0

@@ -28,6 +28,7 @@ from arbolist import (
 )
 from arbolist import core, listing
 from arbolist.primes import next_prime_above
+from arbolist.zeroclique import max_weight
 
 
 def _triangle_instance(weights=(5, 5, 5), bound=None):
@@ -36,6 +37,15 @@ def _triangle_instance(weights=(5, 5, 5), bound=None):
     if bound is None:
         bound = max(abs(x) for x in weights)
     return WeightedKPartiteGraph(base, 3, w, bound)
+
+
+def test_solver_takes_weights_up_to_max_weight():
+    top = max_weight(3)
+    g = _triangle_instance((top, -top + 1, -1))
+    report = solve_zero_kclique(g, 3, 2, seed=0)
+    assert report.found and report.p > 9 * top
+    with pytest.raises(ValueError):
+        solve_zero_kclique(_triangle_instance((3 * top,) * 3), 3, 2, seed=0)
 
 
 def test_hash_formula_worked_example():
