@@ -32,6 +32,9 @@ _HEADER = re.compile(r"#\s*n=(\d+)(?:\s+k=(\d+))?\s*$")
 # Vertex ids and n stay below this, so a stray huge id fails at its line
 # instead of sizing every per-vertex structure by it.
 ID_LIMIT = 2 ** 31
+# A weighted header's k sizes the solver's per-part structures.  Parts
+# beyond n are empty, so k may exceed n only up to this small count.
+PART_SLACK = 256
 
 
 def _parse(path: PathLike, weighted: bool):
@@ -46,7 +49,7 @@ def _parse(path: PathLike, weighted: bool):
     want = 3 if weighted else 2
     with open(path, "r", encoding="ascii") as fh:
         stripped = list(map(str.strip, fh.read().split("\n")))
-    n, header_k = _header(path, stripped)
+    n, header_k = _header(path, stripped, weighted)
     linenos = [i for i, line in enumerate(stripped, 1)
                if line and line[0] != "#"]
     data = [stripped[i - 1] for i in linenos]
@@ -77,15 +80,22 @@ def _bulk(data: list[str], want: int):
     return ids, weights
 
 
-def _header(path: PathLike, stripped: list[str]):
-    """n and k of the first "# n=<N> [k=<K>]" line, or None for each."""
+def _header(path: PathLike, stripped: list[str], weighted: bool):
+    """n and k of the first "# n=<N> [k=<K>]" line, or None for each.
+
+    A weighted file's k may not exceed both n and ``PART_SLACK``.
+    """
     for lineno, line in enumerate(stripped, 1):
         match = line[:1] == "#" and _HEADER.match(line)
         if match:
             n = int(match.group(1))
             if n >= ID_LIMIT:
                 raise ParseError(path, lineno, f"n={n} is not below 2**31")
-            return n, int(match.group(2)) if match.group(2) else None
+            k = int(match.group(2)) if match.group(2) else None
+            if weighted and k is not None and k > max(n, PART_SLACK):
+                raise ParseError(path, lineno, f"k={k} is above n={n} "
+                                 f"and above {PART_SLACK}")
+            return n, k
     return None, None
 
 

@@ -16,10 +16,12 @@ decreasing-degree order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, combinations
 from time import perf_counter
 from typing import Any, Callable, Iterator, NamedTuple
+
+import numpy as np
 
 from .core import Graph, degeneracy_ordering
 from .errors import KTooSmallError
@@ -100,25 +102,6 @@ class Collector:
 
     def __call__(self, record) -> None:
         self.records.append(record)
-
-
-def _rank_sorted_adjacency(g: Graph, position) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
-    """Adjacency re-sorted by elimination rank, for :func:`list_4cycles`.
-
-    Returns three parallel structures: for each vertex, its neighbors
-    sorted by position; the matching position values (for bisecting); and
-    the index where the strictly-later suffix starts.
-    """
-    by_rank: list[tuple[int, ...]] = []
-    rank_of: list[tuple[int, ...]] = []
-    split: list[int] = []
-    for v in range(g.n):
-        nbrs = sorted(g.neighbors(v), key=position.__getitem__)
-        ranks = tuple(position[w] for w in nbrs)
-        by_rank.append(tuple(nbrs))
-        rank_of.append(ranks)
-        split.append(bisect_right(ranks, position[v]))
-    return by_rank, rank_of, split
 
 
 def _finish(t0: float, t1: float, emitted: int, steps: int) -> EnumerationStats:
@@ -233,12 +216,8 @@ def all_edge_sparse_triangle(g: Graph) -> dict[tuple[int, int], bool]:
     return answer
 
 
-def _degree_descending_order(g: Graph) -> tuple[tuple[int, ...], list[int]]:
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    position = [0] * g.n
-    for i, v in enumerate(order):
-        position[v] = i
-    return tuple(order), position
+# Wedges per batch of the 4-cycle scan; a vertex with more is one batch.
+_C4_BATCH = 4096
 
 
 def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
@@ -246,10 +225,9 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
 
     Vertices are processed in order of decreasing degree (ties by id) with
     logical deletion.  For the current vertex v, a pass over the two-hop
-    neighborhood accumulates, for every target w, the list U[w] of
-    still-present intermediate neighbors u; every unordered pair
-    {u1, u2} within U[w] is one 4-cycle v-u1-w-u2.  U is cleared and v is
-    logically deleted before the next vertex.
+    neighborhood groups the wedges v-u-w with u and w both later than v
+    by their target w; every unordered pair {u1, u2} within one group is
+    one 4-cycle v-u1-w-u2.
 
     Each cycle is found once, at whichever of its four vertices comes
     first in the order.  The degree-descending order is what bounds the
@@ -257,35 +235,82 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
     an endpoint of no larger degree, and the sum of min-endpoint degrees
     over edges is at most twice m times the arboricity.  Emission is O(1)
     amortized per cycle.
+
+    ``preprocess_time`` is the ordering plus one CSR of the arcs in
+    positions, sorted by (source, target), and for every forward arc v->u
+    the offset where u's neighbours later than v start.  The scan then
+    takes whole vertices in batches of about ``_C4_BATCH`` wedges, builds
+    their wedges as arrays and groups them with one stable sort by (v, w),
+    so it needs O(m + batch) memory beyond the graph.  Groups come out in
+    the order of their first wedge and members in scan order, so records,
+    their order and ``steps`` (wedges of every vertex reached, plus the
+    pairs emitted) are those of a vertex-by-vertex dictionary scan.
     """
     t0 = perf_counter()
-    order, position = _degree_descending_order(g)
-    by_rank, rank_of, split = _rank_sorted_adjacency(g, position)
+    n = g.n
+    deg = np.fromiter(map(g.degree, range(n)), np.int64, n)
+    order = np.argsort(-deg, kind="stable")
+    pos = np.empty(n, np.int64)
+    pos[order] = np.arange(n)
+    # Arc keys source * n + target in positions, sorted: one CSR.  Built
+    # in place, and each temporary dropped once used, to bound the peak.
+    keys = pos[np.repeat(np.arange(n), deg)] * n
+    keys += pos[np.fromiter(chain.from_iterable(map(g.neighbors, range(n))),
+                            np.int64, 2 * g.m)]
+    keys.sort()
+    del deg, pos
+    col = keys % n
+    ends = np.searchsorted(keys, np.arange(1, n + 1) * n)
+    fwd = col > keys // n
+    src, dst = keys[fwd] // n, col[fwd]
+    del fwd
+    start = np.searchsorted(keys, dst * n + src, side="right")
+    del keys
+    count = ends[dst] - start
+    acum = np.concatenate(([0], np.cumsum(count)))
+    # Wedge number i, on arc a, has its w at col[skip[a] + i].
+    skip = start - acum[:-1]
+    fptr = np.searchsorted(src, np.arange(n + 1))
+    vcum = acum[fptr]
+    del ends, start, acum
     t1 = perf_counter()
-    u_lists: dict[int, list[int]] = {}
-    steps = 0
     emitted = 0
-    for v in order:
-        pv = position[v]
-        u_lists.clear()
-        for u in by_rank[v][split[v]:]:
-            i = bisect_right(rank_of[u], pv)
-            for w in by_rank[u][i:]:
-                steps += 1
-                if w in u_lists:
-                    u_lists[w].append(u)
-                else:
-                    u_lists[w] = [u]
-        for w, us in u_lists.items():
-            if len(us) < 2:
-                continue
-            for i in range(len(us) - 1):
-                for j in range(i + 1, len(us)):
-                    steps += 1
-                    emitted += 1
-                    if sink(four_cycle_record(v, us[i], w, us[j])):
-                        return _finish(t0, t1, emitted, steps)
-    return _finish(t0, t1, emitted, steps)
+    lo = 0
+    while lo < n:
+        hi = max(int(np.searchsorted(vcum, vcum[lo] + _C4_BATCH, "right")) - 1,
+                 lo + 1)
+        # Wedges v-u-w of positions lo..hi-1 in scan order, as arrays.
+        arc = np.repeat(np.arange(fptr[lo], fptr[hi]), count[fptr[lo]:fptr[hi]])
+        v = src[arc]
+        w = col[skip[arc] + np.arange(vcum[lo], vcum[hi])]
+        key = v * n + w
+        by = np.argsort(key, kind="stable")
+        key = key[by]
+        # Runs of equal keys in sorted order: the groups of two or more.
+        same = np.diff((key[1:] == key[:-1]).astype(np.int8),
+                       prepend=0, append=0)
+        lo = hi
+        first = np.flatnonzero(same == 1)
+        if not len(first):
+            continue
+        size = np.flatnonzero(same == -1) + 1 - first
+        # Groups in the order of their first wedge, members in scan order.
+        head = np.argsort(by[first])
+        first, size = first[head], size[head]
+        lead = by[first]
+        members = by[np.repeat(first - np.cumsum(size) + size, size)
+                     + np.arange(int(size.sum()))]
+        us = order[dst[arc[members]]].tolist()
+        i = 0
+        for pv, x, y, s in zip(v[lead].tolist(), order[v[lead]].tolist(),
+                               order[w[lead]].tolist(), size.tolist()):
+            for u1, u2 in combinations(us[i:i + s], 2):
+                emitted += 1
+                if sink(four_cycle_record(x, u1, y, u2)):
+                    return _finish(t0, t1, emitted,
+                                   int(vcum[pv + 1]) + emitted)
+            i += s
+    return _finish(t0, t1, emitted, int(vcum[n]) + emitted)
 
 
 def count_4cycles(g: Graph) -> int:

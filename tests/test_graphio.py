@@ -2,6 +2,7 @@ import re
 import tempfile
 from itertools import combinations
 from pathlib import Path
+from time import perf_counter
 
 import hypothesis.strategies as st
 import pytest
@@ -229,6 +230,37 @@ def test_weight_beyond_the_solvers_range_fails_at_its_line(tmp_path):
         read_weighted_kpartite(p)
     assert err.value.lineno == 3
     assert "weight -10000000000000000000000000000000" in str(err.value)
+
+
+def test_weighted_header_k_above_n_fails_fast_at_its_line(tmp_path):
+    p = tmp_path / "wk.txt"
+    p.write_text("# gen\n# n=3 k=1000000000000\n0 1 4\n")
+    (tmp_path / "wk.txt.labels").write_text("0\n1\n2\n")
+    t0 = perf_counter()
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert perf_counter() - t0 < 1
+    assert err.value.lineno == 2
+    assert "k=1000000000000 is above n=3 and above 256" in str(err.value)
+
+
+@pytest.mark.parametrize("header, k", [("# n=3 k=256", 256),
+                                       ("# n=300 k=300", 300)])
+def test_weighted_header_k_up_to_the_limit_is_read(tmp_path, header, k):
+    p = tmp_path / "wk.txt"
+    p.write_text(header + "\n0 1 4\n")
+    n = int(header.split()[1][2:])
+    (tmp_path / "wk.txt.labels").write_text("0\n1\n" + "0\n" * (n - 2))
+    assert read_weighted_kpartite(p).k == k
+
+
+def test_weighted_header_k_above_the_limit_and_n_fails(tmp_path):
+    p = tmp_path / "wk.txt"
+    p.write_text("# n=3 k=257\n0 1 4\n")
+    (tmp_path / "wk.txt.labels").write_text("0\n1\n2\n")
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert err.value.lineno == 1
 
 
 def test_weighted_requires_labels(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -226,6 +227,75 @@ def test_stop_at_every_record_yields_a_prefix(g):
             assert stats.emitted_count == j
 
 
+def reference_4cycles(g, sink):
+    """The vertex-by-vertex 4-cycle lister: degree-descending order,
+    rank-sorted lists cut with bisect, and a dict of intermediate
+    vertices per target.  Returns (emitted, steps)."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    position = [0] * g.n
+    for i, v in enumerate(order):
+        position[v] = i
+    by_rank = [sorted(g.neighbors(v), key=position.__getitem__)
+               for v in range(g.n)]
+    rank_of = [[position[w] for w in nbrs] for nbrs in by_rank]
+    steps = emitted = 0
+    for v in order:
+        pv = position[v]
+        u_lists = {}
+        for u in by_rank[v][bisect_right(rank_of[v], pv):]:
+            for w in by_rank[u][bisect_right(rank_of[u], pv):]:
+                steps += 1
+                u_lists.setdefault(w, []).append(u)
+        for w, us in u_lists.items():
+            for i in range(len(us) - 1):
+                for j in range(i + 1, len(us)):
+                    steps += 1
+                    emitted += 1
+                    if sink(four_cycle_record(v, us[i], w, us[j])):
+                        return emitted, steps
+    return emitted, steps
+
+
+def assert_4cycles_match_reference(g, stops=True):
+    """Same records, order, count and steps, run to the end and, with
+    ``stops``, stopped at every record."""
+    want = []
+    want_emitted, want_steps = reference_4cycles(g, want.append)
+    got = []
+    stats = list_4cycles(g, got.append)
+    assert got == want
+    assert (stats.emitted_count, stats.steps) == (want_emitted, want_steps)
+    for j in range(1, len(want) + 1 if stops else 1):
+        seen, ref = [], []
+        stats = list_4cycles(g, lambda r: seen.append(r) or len(seen) == j)
+        expected = reference_4cycles(g, lambda r: ref.append(r)
+                                     or len(ref) == j)
+        assert seen == ref == want[:j]
+        assert (stats.emitted_count, stats.steps) == expected
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 4096])
+@settings(max_examples=40, deadline=None)
+@given(g=small_graphs(max_n=10))
+def test_4cycles_match_the_vertex_by_vertex_lister(batch, g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(listing, "_C4_BATCH", batch)
+        assert_4cycles_match_reference(g)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 4096])
+def test_4cycles_match_the_vertex_by_vertex_lister_at_the_edges(
+        monkeypatch, batch):
+    monkeypatch.setattr(listing, "_C4_BATCH", batch)
+    isolated = from_edge_list([(3, 900), (900, 4000), (4000, 17), (17, 3)],
+                              5000)
+    for g in (from_edge_list([], 0), from_edge_list([], 7), isolated,
+              complete(6), complete_bipartite(3, 4)):
+        assert_4cycles_match_reference(g)
+    assert_4cycles_match_reference(random_gnm(60, 400, 3), stops=False)
+    assert count_4cycles(isolated) == 1
+
+
 def test_kcliques_orient_the_graph_once(monkeypatch):
     calls = []
 
@@ -250,9 +320,10 @@ def test_orient_out_lists_are_rank_sorted_suffixes(g):
     oriented = orient(g)
     assert (oriented.n, oriented.m) == (g.n, g.m)
     assert oriented.order == ordering.order
-    by_rank, _, split = listing._rank_sorted_adjacency(g, ordering.position)
-    assert [list(by_rank[v][split[v]:]) for v in range(g.n)] == [
-        list(later) for later in oriented.out]
+    position = ordering.position
+    later = [sorted((w for w in g.neighbors(v) if position[w] > position[v]),
+                    key=position.__getitem__) for v in range(g.n)]
+    assert later == [list(out) for out in oriented.out]
     assert sorted(oriented.edges()) == sorted(g.edges())
 
 
