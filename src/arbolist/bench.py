@@ -69,15 +69,13 @@ def _record(gen: str, g: Graph, algo: str,
     )
 
 
-def write_csv(path: PathLike, records: Iterable[BenchRecord],
-              append: bool = True) -> None:
+def write_csv(path: PathLike, records: Iterable[BenchRecord]) -> None:
     """Append rows, writing the header only when the file starts empty."""
     path = Path(path)
-    fresh = not (append and path.exists() and path.stat().st_size > 0)
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="ascii", newline="") as fh:
+    fresh = not (path.exists() and path.stat().st_size > 0)
+    with open(path, "a", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
-        if fresh or not append:
+        if fresh:
             writer.writerow(CSV_HEADER.split(","))
         for r in records:
             writer.writerow([getattr(r, f.name) for f in fields(BenchRecord)])

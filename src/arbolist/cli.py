@@ -172,7 +172,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     rows = bench_mod.run_suite(args.suite, small=args.small)
-    bench_mod.write_csv(args.output, rows, append=True)
+    bench_mod.write_csv(args.output, rows)
     print(f"appended {len(rows)} rows to {args.output}")
     return EXIT_OK
 

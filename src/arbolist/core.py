@@ -137,11 +137,12 @@ def _pair_error(pair, n: int, index: int) -> ArbolistError:
 
 @dataclass(frozen=True)
 class OrderingResult:
-    """A vertex elimination order with its inverse and the degeneracy."""
+    """An elimination order, its inverse, the degeneracy and the out-lists."""
 
     order: tuple[int, ...]
     position: tuple[int, ...]
     degeneracy: int
+    later: list[list[int]]
 
 
 def degeneracy_ordering(g: Graph) -> OrderingResult:
@@ -151,7 +152,9 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
     the largest degree seen at removal time (the degeneracy).  Uses the
     Matula-Beck bucket queue: one bucket per degree, a vertex is pushed
     again whenever its degree drops and stale entries are skipped on pop,
-    so the cost is O(n + m).  Ties are broken deterministically.
+    so the cost is O(n + m).  Ties are broken deterministically.  Peeling v
+    appends it to ``later[u]`` of each earlier neighbour u, so the out-lists
+    come out sorted by position, with no sort.
     """
     n = g.n
     deg = [g.degree(v) for v in range(n)]
@@ -160,6 +163,7 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
         buckets[deg[v]].append(v)
     position = [-1] * n
     order: list[int] = []
+    later: list[list[int]] = [[] for _ in range(n)]
     degeneracy = 0
     d = 0
     while len(order) < n:
@@ -176,9 +180,11 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
             if position[u] < 0:
                 deg[u] -= 1
                 buckets[deg[u]].append(u)
+            else:
+                later[u].append(v)
         # Removing v lowers each remaining degree by at most one.
         d = max(d - 1, 0)
-    return OrderingResult(tuple(order), tuple(position), degeneracy)
+    return OrderingResult(tuple(order), tuple(position), degeneracy, later)
 
 
 @dataclass(frozen=True)

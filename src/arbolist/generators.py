@@ -70,17 +70,13 @@ def polarity_graph(q: int) -> Graph:
         raise NotPrimeError(q)
     pts = np.array(_projective_points(q), dtype=np.int64)
     n = len(pts)
-    edges: list[tuple[int, int]] = []
+    edges = []
     chunk = 1024
     for start in range(0, n, chunk):
-        block = pts[start:start + chunk]
-        zero = (block @ pts.T) % q == 0
-        rows, cols = np.nonzero(zero)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            u = start + r
-            if u < c:
-                edges.append((u, c))
-    return from_edge_list(edges, n)
+        rows, cols = np.nonzero((pts[start:start + chunk] @ pts.T) % q == 0)
+        rows += start
+        edges.append(np.column_stack((rows, cols))[rows < cols])
+    return from_edge_list(np.concatenate(edges), n)
 
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:

@@ -118,7 +118,8 @@ def _first_fault(path: PathLike, linenos, data, want: int) -> ParseError:
     raise AssertionError("the bulk parse rejected a file with no faulty line")
 
 
-def read_labels(path: PathLike) -> dict[int, int]:
+def read_labels(path: PathLike, below: Optional[int] = None) -> dict[int, int]:
+    """One label per data line; a label at or above ``below`` fails there."""
     labels: dict[int, int] = {}
     with open(path, "r", encoding="ascii") as fh:
         v = 0
@@ -127,20 +128,24 @@ def read_labels(path: PathLike) -> dict[int, int]:
             if not line or line.startswith("#"):
                 continue
             try:
-                labels[v] = int(line)
+                label = int(line)
             except ValueError:
                 raise ParseError(path, lineno, f"non-integer label {line!r}")
+            if below is not None and label >= below:
+                raise ParseError(path, lineno,
+                                 f"label {label} is not below {below}")
+            labels[v] = label
             v += 1
     return labels
 
 
-def _sibling_labels(path: PathLike,
-                    labels_path: Optional[PathLike]) -> Optional[dict[int, int]]:
+def _sibling_labels(path: PathLike, labels_path: Optional[PathLike],
+                    below: Optional[int] = None) -> Optional[dict[int, int]]:
     if labels_path is not None:
-        return read_labels(labels_path)
+        return read_labels(labels_path, below)
     sibling = Path(f"{path}.labels")
     if sibling.exists():
-        return read_labels(sibling)
+        return read_labels(sibling, below)
     return None
 
 
@@ -170,8 +175,9 @@ def read_weighted_kpartite(path: PathLike,
     """Read "u v w" lines plus a labels sibling into a weighted instance.
 
     The part count comes from the header k= field when present, else
-    max label + 1.  The weight bound is the largest |w| observed; a
-    weight too large for the solver on k parts fails at its line.
+    max label + 1; a label not below both n and ``PART_SLACK`` fails at its
+    line.  The weight bound is the largest |w| observed; a weight too
+    large for the solver on k parts fails at its line.
     """
     n, header_k, linenos, ids, row_weights = _parse(path, weighted=True)
     weights = {}
@@ -181,7 +187,7 @@ def read_weighted_kpartite(path: PathLike,
             raise ParseError(path, lineno,
                              f"conflicting weights for edge {key}")
         weights[key] = w
-    labels = _sibling_labels(path, labels_path)
+    labels = _sibling_labels(path, labels_path, max(n, PART_SLACK))
     if labels is None:
         raise ParseError(path, 0, "weighted k-partite file needs a labels file")
     if len(labels) != n:

@@ -129,13 +129,9 @@ class Orientation(NamedTuple):
 
 
 def orient(g: Graph) -> Orientation:
-    """Degeneracy orientation, each out-list sorted by position."""
+    """Degeneracy orientation: the out-lists built while peeling, as is."""
     ordering = degeneracy_ordering(g)
-    position = ordering.position
-    out = [sorted([w for w in g.neighbors(v) if position[w] > pv],
-                  key=position.__getitem__)
-           for v, pv in enumerate(position)]
-    return Orientation(g.n, g.m, ordering.order, out)
+    return Orientation(g.n, g.m, ordering.order, ordering.later)
 
 
 def _walk(g: Graph | Orientation, k: int, sink: Sink,
@@ -330,7 +326,7 @@ def list_kcliques(g: Graph | Orientation, k: int,
 
     Emission order: cliques are grouped by their earliest vertex in the
     orientation's order; within a group they follow the out-lists, which
-    :func:`orient` sorts by the rank of the later vertices.
+    :func:`orient` keeps sorted by the rank of the later vertices.
     """
     if k < 2:
         raise KTooSmallError(k)

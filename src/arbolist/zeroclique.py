@@ -213,6 +213,7 @@ def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKe
     s = partition.s
     length = partition.length
     bounds = partition.bounds
+    # A last-pair interval reaches the multiple M iff it meets [M-hi, M-lo].
     for prefix in product(range(s), repeat=pairs - 1):
         lo = sum(bounds[i][0] for i in prefix)
         hi = sum(bounds[i][1] - 1 for i in prefix)
@@ -222,10 +223,8 @@ def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKe
             x_lo = max(0, multiple - hi)
             x_hi = min(p - 1, multiple - lo)
             if x_lo <= x_hi:
-                for j in range(x_lo // length, min(x_hi // length, s - 1) + 1):
-                    a, b = bounds[j]
-                    if lo + a <= multiple <= hi + b - 1:
-                        found.add(j)
+                found.update(range(x_lo // length,
+                                   min(x_hi // length, s - 1) + 1))
             multiple += p
         for j in sorted(found):
             yield prefix + (j,)
@@ -298,7 +297,6 @@ class SolveReport:
     """Outcome and accounting of one zero-clique search."""
 
     witness: Optional[CliqueRecord]
-    witness_sum: Optional[int]
     p: int
     s: int
     buckets_examined: int = 0
@@ -344,7 +342,7 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     p = next_prime_above(max(k * k * g.weight_bound, g.base.n))
     hashed, params = hash_weights(g, p, seed)
     partition = partition_intervals(p, s)
-    report = SolveReport(witness=None, witness_sum=None, p=p, s=partition.s)
+    report = SolveReport(witness=None, p=p, s=partition.s)
     t1 = perf_counter()
     report.hash_s = t1 - t0
     oriented = orient(g.base)
@@ -372,6 +370,5 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
         report.cliques_listed_total += stats.emitted_count
         if hit:
             report.witness = hit[0]
-            report.witness_sum = 0
             break
     return report

@@ -151,6 +151,18 @@ def test_huge_header_k_fails_fast(tmp_path, capsys):
     assert "w.txt:1: k=1000000000000 is above n=3" in err
 
 
+def test_huge_label_fails_fast(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text("# n=3\n0 1 1\n0 2 1\n1 2 -2\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n1000000000000\n")
+    t0 = perf_counter()
+    code, out, err = run(capsys, "solve-zero-clique", "--input", str(path),
+                         "--k", "3", "--s", "2")
+    assert perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert "w.txt.labels:3: label 1000000000000 is not below 256" in err
+
+
 def test_verify_passes_on_corpus_graph(tmp_path, capsys):
     path = str(tmp_path / "g.txt")
     run(capsys, "gen", "gnm", "--n", "24", "--m", "70", "--seed", "5",

@@ -263,6 +263,35 @@ def test_weighted_header_k_above_the_limit_and_n_fails(tmp_path):
     assert err.value.lineno == 1
 
 
+def test_weighted_label_above_n_and_the_limit_fails_fast_at_its_line(tmp_path):
+    """Without a header k, a huge label fails before it sizes anything."""
+    p = tmp_path / "wl.txt"
+    p.write_text("# n=3\n0 1 4\n")
+    labels = tmp_path / "wl.txt.labels"
+    labels.write_text("0\n# comment\n1\n1000000000000\n")
+    t0 = perf_counter()
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert perf_counter() - t0 < 1
+    assert (str(err.value.path), err.value.lineno) == (str(labels), 4)
+    assert "label 1000000000000 is not below 256" in str(err.value)
+
+
+@pytest.mark.parametrize("n, label, k", [(3, 255, 256), (300, 299, 300),
+                                         (3, 256, None), (300, 300, None)])
+def test_weighted_label_limit_is_the_header_limit(tmp_path, n, label, k):
+    p = tmp_path / "wl.txt"
+    p.write_text(f"# n={n}\n0 1 4\n")
+    (tmp_path / "wl.txt.labels").write_text(
+        "0\n1\n" + "0\n" * (n - 3) + f"{label}\n")
+    if k is not None:
+        assert read_weighted_kpartite(p).k == k
+        return
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert err.value.lineno == n
+
+
 def test_weighted_requires_labels(tmp_path):
     p = tmp_path / "w2.txt"
     p.write_text("0 1 5\n")

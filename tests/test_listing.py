@@ -25,9 +25,11 @@ from arbolist import (
     list_kcliques,
     list_triangles,
     orient,
+    polarity_graph,
     random_gnm,
     triangle_record,
 )
+from arbolist.bench import c4_block_family
 
 from .conftest import (
     complete,
@@ -312,9 +314,7 @@ def test_kcliques_orient_the_graph_once(monkeypatch):
     assert len(calls) == 1
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_graphs())
-def test_orient_out_lists_are_rank_sorted_suffixes(g):
+def _assert_orient_matches_reference(g):
     """Out-lists are the later neighbours, sorted by position."""
     ordering = degeneracy_ordering(g)
     oriented = orient(g)
@@ -325,6 +325,25 @@ def test_orient_out_lists_are_rank_sorted_suffixes(g):
                     key=position.__getitem__) for v in range(g.n)]
     assert later == [list(out) for out in oriented.out]
     assert sorted(oriented.edges()) == sorted(g.edges())
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graphs())
+def test_orient_out_lists_are_rank_sorted_suffixes(g):
+    _assert_orient_matches_reference(g)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: c4_block_family(2000, 1),
+    lambda: polarity_graph(23),
+    lambda: random_gnm(5000, 25000, 3),
+    lambda: from_edge_list([], 0),
+    lambda: from_edge_list([(0, 5), (5, 9), (0, 9), (2, 3)], 12),
+], ids=["c4-blocks-2000", "polarity-23", "gnm-5000", "empty", "isolated"])
+def test_orient_out_lists_on_fixed_graphs(make):
+    """The same reference on graphs above hypothesis's sizes and on edge
+    cases: no vertex, and isolated vertices among the edges."""
+    _assert_orient_matches_reference(make())
 
 
 def test_listers_walk_an_orientation_as_it_is():
