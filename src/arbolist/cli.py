@@ -47,13 +47,12 @@ def _stats_line(stats: EnumerationStats, load: float) -> str:
             f"load={load:.6f}")
 
 
-def _print_record(kind: str, record) -> None:
+def _record_format(kind: str, k: Optional[int]) -> str:
     if kind == "triangle":
-        print("T", *record)
-    elif kind == "c4":
-        print("C4", *record)
-    else:
-        print(f"K{len(record)}", *record)
+        return "T %d %d %d\n"
+    if kind == "c4":
+        return "C4 %d %d %d %d\n"
+    return f"K{k}" + " %d" * k + "\n"
 
 
 def cmd_gen(args) -> int:
@@ -101,17 +100,18 @@ def cmd_list(args) -> int:
     g = graphio.read_edge_list(args.input)
     load = perf_counter() - t0
     if args.count_only:
-        count = 0
+        stats = _run_lister(g, args.kind, args.k, lambda record: None)
+        print(f"COUNT {args.kind} {stats.emitted_count}")
+    else:
+        line = _record_format(args.kind, args.k)
+        # Bound when the command runs, so a replaced sys.stdout is used.
+        write = sys.stdout.write
 
-        def sink(record):
-            nonlocal count
-            count += 1
+        def sink(record) -> None:
+            # Returns None: write's character count would stop the lister.
+            write(line % record)
 
         stats = _run_lister(g, args.kind, args.k, sink)
-        print(f"COUNT {args.kind} {count}")
-    else:
-        stats = _run_lister(g, args.kind, args.k,
-                            lambda record: _print_record(args.kind, record))
     print(_stats_line(stats, load))
     return EXIT_OK
 

@@ -15,7 +15,6 @@ import logging
 import random
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from math import ceil
 from time import perf_counter
 from typing import Iterator, Mapping, Optional
 
@@ -183,8 +182,8 @@ class IntervalPartition:
 def partition_intervals(p: int, s: int) -> IntervalPartition:
     if s < 1 or s > p:
         raise BadSError(s, p)
-    length = ceil(p / s)
-    actual = ceil(p / length)
+    length = -(-p // s)
+    actual = -(-p // length)
     if actual != s:
         log.info("reduced s from %d to %d to avoid empty intervals (p=%d)",
                  s, actual, p)

@@ -1,11 +1,20 @@
 """End-to-end runs of every CLI path, in process via main()."""
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import arbolist
+from arbolist.bench import c4_block_family
 from arbolist.cli import main
+from arbolist.generators import polarity_graph, random_gnm
+from arbolist.graphio import read_edge_list, write_edge_list
+from arbolist.listing import list_4cycles, list_kcliques, list_triangles
 
 
 def run(capsys, *argv):
@@ -87,6 +96,72 @@ def test_list_count_only(tmp_path, capsys):
     assert code == 0
     assert f"COUNT clique {comb(5, 3)}" in out
     assert not any(ln.startswith("K3 ") for ln in out.splitlines())
+
+
+_RECORD_GRAPHS = {
+    "polarity5": lambda: polarity_graph(5),
+    "c4blocks": lambda: c4_block_family(30, 1),
+    "gnm": lambda: random_gnm(20, 110, 3),
+}
+_RECORD_KINDS = [("triangle", ()), ("c4", ())] + [
+    ("clique", ("--k", str(k))) for k in (2, 3, 4, 5)]
+
+
+def test_list_records_match_print_reference(tmp_path, capsys):
+    seen = set()
+    for graph, build in _RECORD_GRAPHS.items():
+        path = str(tmp_path / f"{graph}.txt")
+        write_edge_list(path, build())
+        g = read_edge_list(path)
+        for kind, extra in _RECORD_KINDS:
+            code, out, _ = run(capsys, "list", "--input", path,
+                               "--kind", kind, *extra)
+            assert code == 0
+            *records, stats = out.splitlines()
+            assert stats.startswith("STATS ")
+
+            # The writer must print what print() did, record for record.
+            if kind == "triangle":
+                list_triangles(g, lambda r: print("T", *r))
+            elif kind == "c4":
+                list_4cycles(g, lambda r: print("C4", *r))
+            else:
+                list_kcliques(g, int(extra[1]),
+                              lambda r: print(f"K{len(r)}", *r))
+            assert records == capsys.readouterr().out.splitlines(), \
+                (graph, kind, extra)
+
+            # A sink that stopped the lister early would print fewer lines
+            # than the --count-only run counts.
+            count = int(stats.split("count=")[1].split()[0])
+            code, out, _ = run(capsys, "list", "--input", path,
+                               "--kind", kind, *extra, "--count-only")
+            assert code == 0
+            assert out.splitlines()[0] == f"COUNT {kind} {len(records)}"
+            assert len(records) == count
+            if len(records) > 1:
+                seen.add((kind, extra))
+    assert seen == set(_RECORD_KINDS)
+
+
+def test_list_reader_closing_the_pipe_exits_2_without_traceback(tmp_path):
+    path = str(tmp_path / "blocks.txt")
+    # About 20000 record lines, far beyond a 64 KB pipe buffer.
+    write_edge_list(path, c4_block_family(20000, 1))
+    src = str(Path(arbolist.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+            [sys.executable, "-m", "arbolist", "list", "--input", path,
+             "--kind", "c4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"C4 ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    err = err.decode()
+    assert proc.returncode == 2
+    assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_list_parse_error_exit_code(tmp_path, capsys):

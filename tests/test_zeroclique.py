@@ -136,6 +136,17 @@ def test_partition_covers_disjointly():
             assert a <= val < b
 
 
+def test_partition_tiles_p_above_float_precision():
+    # p is far above 2**53, where a float ceil(p / s) falls short of p.
+    p = next_prime_above(9 * max_weight(3))
+    for s in (2, 3, 12, 1000):
+        part = partition_intervals(p, s)
+        assert part.bounds[0][0] == 0 and part.bounds[-1][1] == p
+        assert all(a[1] == b[0] for a, b in zip(part.bounds,
+                                                part.bounds[1:]))
+        assert part.interval_of(p - 1) == part.s - 1 == s - 1
+
+
 def test_partition_rejects_bad_s():
     with pytest.raises(BadSError):
         partition_intervals(13, 0)
