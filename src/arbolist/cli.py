@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Optional
 
 from . import bench as bench_mod
 from . import graphio, oracle
-from .core import Graph, degeneracy_ordering
+from .core import degeneracy_ordering
 from .errors import ArbolistError
 from .generators import (
     polarity_graph,
@@ -47,12 +47,20 @@ def _stats_line(stats: EnumerationStats, load: float) -> str:
             f"load={load:.6f}")
 
 
-def _record_format(kind: str, k: Optional[int]) -> str:
+def _kind(kind: str, k: Optional[int]):
+    """The lister, the oracle and the record line format of one kind.
+
+    The listers are looked up here, when a command runs, not in a table
+    built at import, so a lister rebound in this module (as a tracer
+    does) is the one called.
+    """
     if kind == "triangle":
-        return "T %d %d %d\n"
+        return list_triangles, oracle.brute_triangles, "T %d %d %d\n"
     if kind == "c4":
-        return "C4 %d %d %d %d\n"
-    return f"K{k}" + " %d" * k + "\n"
+        return list_4cycles, oracle.brute_4cycles, "C4 %d %d %d %d\n"
+    return (lambda g, sink: list_kcliques(g, k, sink),
+            lambda g: oracle.brute_kcliques(g, k),
+            f"K{k}" + " %d" * k + "\n")
 
 
 def cmd_gen(args) -> int:
@@ -86,24 +94,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _run_lister(g: Graph, kind: str, k: Optional[int],
-                sink: Callable) -> EnumerationStats:
-    if kind == "triangle":
-        return list_triangles(g, sink)
-    if kind == "c4":
-        return list_4cycles(g, sink)
-    return list_kcliques(g, k, sink)
-
-
 def cmd_list(args) -> int:
     t0 = perf_counter()
     g = graphio.read_edge_list(args.input)
     load = perf_counter() - t0
+    lister, _, line = _kind(args.kind, args.k)
     if args.count_only:
-        stats = _run_lister(g, args.kind, args.k, lambda record: None)
+        stats = lister(g, lambda record: None)
         print(f"COUNT {args.kind} {stats.emitted_count}")
     else:
-        line = _record_format(args.kind, args.k)
         # Bound when the command runs, so a replaced sys.stdout is used.
         write = sys.stdout.write
 
@@ -111,17 +110,9 @@ def cmd_list(args) -> int:
             # Returns None: write's character count would stop the lister.
             write(line % record)
 
-        stats = _run_lister(g, args.kind, args.k, sink)
+        stats = lister(g, sink)
     print(_stats_line(stats, load))
     return EXIT_OK
-
-
-def _oracle_records(g: Graph, kind: str, k: Optional[int]) -> set:
-    if kind == "triangle":
-        return oracle.brute_triangles(g)
-    if kind == "c4":
-        return oracle.brute_4cycles(g)
-    return oracle.brute_kcliques(g, k)
 
 
 def cmd_verify(args, lister=None) -> int:
@@ -131,10 +122,11 @@ def cmd_verify(args, lister=None) -> int:
     wrong lister is flagged; the default is the real one.
     """
     g = graphio.read_edge_list(args.input)
-    expected = _oracle_records(g, args.kind, args.k)
-    collector = Collector()
+    fast, brute, _ = _kind(args.kind, args.k)
+    expected = brute(g)
     if lister is None:
-        _run_lister(g, args.kind, args.k, collector)
+        collector = Collector()
+        fast(g, collector)
         got = set(collector.records)
     else:
         got = set(lister(g))

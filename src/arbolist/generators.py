@@ -7,7 +7,6 @@ same call always produces the same graph.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, comb
@@ -85,16 +84,12 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     if m > total:
         raise TooManyEdgesError(m, total)
     rng = random.Random(seed)
-    picked = sorted(rng.sample(range(total), m))
-    row_start = [0] * n
-    for u in range(1, n):
-        row_start[u] = row_start[u - 1] + (n - u)
-    edges = []
-    for idx in picked:
-        u = bisect_right(row_start, idx) - 1
-        v = u + 1 + (idx - row_start[u])
-        edges.append((u, v))
-    return from_edge_list(edges, n)
+    picked = np.array(sorted(rng.sample(range(total), m)), dtype=np.int64)
+    # Pair index idx is (u, v) with idx - row_start[u] = v - u - 1.
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    u = np.searchsorted(row_start, picked, side="right") - 1
+    v = u + 1 + picked - row_start[u]
+    return from_edge_list(np.column_stack((u, v)), n)
 
 
 def apply_part_labels(g: Graph, labels: list[int]) -> Graph:
@@ -125,17 +120,27 @@ def color_code(g: Graph, k: int, seed: int) -> Graph:
 
 def random_kpartite(k: int, n_part: int, edge_prob: float, seed: int) -> Graph:
     """Random k-partite graph, parts of equal size in contiguous id blocks."""
-    rng = random.Random(seed)
-    n = k * n_part
-    labels = {v: v // n_part for v in range(n)}
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            for u in range(i * n_part, (i + 1) * n_part):
-                for v in range(j * n_part, (j + 1) * n_part):
-                    if rng.random() < edge_prob:
-                        edges.append((u, v))
-    return from_edge_list(edges, n, labels)
+    edges = _cross_part_edges(random.Random(seed), k, n_part, edge_prob)
+    return from_edge_list(edges, k * n_part, _block_labels(k, n_part))
+
+
+def _block_labels(k: int, size: int) -> dict[int, int]:
+    """Labels of k parts of ``size`` vertices in contiguous id blocks."""
+    return {v: v // size for v in range(k * size)}
+
+
+def _cross_part_edges(rng: random.Random, k: int, n_part: int,
+                      edge_prob: float) -> list[tuple[int, int]]:
+    """Each pair of vertices in different parts (see ``_block_labels``)
+    kept with probability ``edge_prob``.
+
+    One ``rng.random()`` per pair, part pairs (i, j) in order, then u,
+    then v: this draw order defines every seeded k-partite instance.
+    """
+    return [(u, v) for i, j in combinations(range(k), 2)
+            for u in range(i * n_part, (i + 1) * n_part)
+            for v in range(j * n_part, (j + 1) * n_part)
+            if rng.random() < edge_prob]
 
 
 @dataclass(frozen=True)
@@ -285,8 +290,7 @@ def sparse_triangle_instance(n_param: int, sigma: float, seed: int) -> Graph:
                 edges.add(e)
                 deg[x] += 1
                 deg[y] += 1
-    labels = {v: v // part for v in range(n)}
-    return from_edge_list(sorted(edges), n, labels)
+    return from_edge_list(sorted(edges), n, _block_labels(3, part))
 
 
 def random_weighted_kpartite(k: int, n_part: int, edge_prob: float,
@@ -310,13 +314,7 @@ def random_weighted_kpartite(k: int, n_part: int, edge_prob: float,
     if weight_bound < 1:
         raise ValueError(f"weight_bound={weight_bound} must be at least 1")
     rng = random.Random(seed)
-    n = k * n_part
-    edges: set[tuple[int, int]] = set()
-    for i, j in combinations(range(k), 2):
-        for u in range(i * n_part, (i + 1) * n_part):
-            for v in range(j * n_part, (j + 1) * n_part):
-                if rng.random() < edge_prob:
-                    edges.add((u, v))
+    edges = set(_cross_part_edges(rng, k, n_part, edge_prob))
     chosen: list[int] = []
     if planted:
         chosen = [rng.randrange(i * n_part, (i + 1) * n_part)
@@ -334,6 +332,5 @@ def random_weighted_kpartite(k: int, n_part: int, edge_prob: float,
         for e, w in zip(clique_edges, head):
             weights[e] = w
         weights[clique_edges[-1]] = -sum(head)
-    labels = {v: v // n_part for v in range(n)}
-    base = from_edge_list(order, n, labels)
+    base = from_edge_list(order, k * n_part, _block_labels(k, n_part))
     return WeightedKPartiteGraph(base, k, weights, weight_bound)

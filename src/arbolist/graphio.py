@@ -5,8 +5,10 @@ Format: one edge per line as "u v" (or "u v w" for weighted graphs),
 comment "# n=<N> k=<K>" pins the vertex count (and part count for
 weighted k-partite files); without it n is max vertex id + 1.  Part
 labels live in a sibling file "<path>.labels" with one integer per line,
-one line per vertex.  Writers emit no timestamps, so rerunning a
-generator produces byte-identical files.
+one line per vertex, each read like a vertex id.  Every fault names its
+file and line; only a missing labels file and a wrong label count, faults
+of the whole file, name line 0.  Writers emit no timestamps, so rerunning
+a generator produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,32 +41,41 @@ PART_SLACK = 256
 
 def _parse(path: PathLike, weighted: bool):
     """n (from the header, else max id + 1) and the header's k, then the
-    data rows of one file: their line numbers, their vertex ids as an
-    int64 (m, 2) array and, for a weighted file, their weights as Python
-    ints.
+    data rows of one file as ``_rows`` gives them."""
+    stripped = _lines(path)
+    n, header_k = _header(path, stripped, weighted)
+    linenos, ids, weights = _rows(path, stripped, 3 if weighted else 2,
+                                  ID_LIMIT)
+    if n is None:
+        n = int(ids.max()) + 1 if len(ids) else 0
+    return n, header_k, linenos, ids, weights
+
+
+def _lines(path: PathLike) -> list[str]:
+    with open(path, "r", encoding="ascii") as fh:
+        return list(map(str.strip, fh.read().split("\n")))
+
+
+def _rows(path: PathLike, stripped: list[str], want: int, limit: int):
+    """The data rows of a file's stripped lines: their line numbers, their
+    first two fields (one, for a one-field file) as an int64 array of ids
+    in [0, limit) and, for a three-field file, the third as Python ints.
 
     The rows are checked and converted in bulk; only a file that fails
     is walked row by row, to name the first faulty line.
     """
-    want = 3 if weighted else 2
-    with open(path, "r", encoding="ascii") as fh:
-        stripped = list(map(str.strip, fh.read().split("\n")))
-    n, header_k = _header(path, stripped, weighted)
     linenos = [i for i, line in enumerate(stripped, 1)
                if line and line[0] != "#"]
     data = [stripped[i - 1] for i in linenos]
-    del stripped
-    parsed = _bulk(data, want)
+    parsed = _bulk(data, want, limit)
     if parsed is None:
-        raise _first_fault(path, linenos, data, want)
+        raise _first_fault(path, linenos, data, want, limit)
     ids, weights = parsed
-    if n is None:
-        n = int(ids.max()) + 1 if len(ids) else 0
-    return n, header_k, np.array(linenos), ids, weights
+    return np.array(linenos), ids, weights
 
 
-def _bulk(data: list[str], want: int):
-    """Vertex ids and weights of the data lines, or None if one is faulty."""
+def _bulk(data: list[str], want: int, limit: int):
+    """Ids and weights of the data lines, or None if one is faulty."""
     if not set(map(len, map(str.split, data))) <= {want}:
         return None
     tokens = " ".join(data).split()
@@ -75,7 +86,7 @@ def _bulk(data: list[str], want: int):
         weights = list(map(int, columns[2])) if want == 3 else None
     except (ValueError, OverflowError):
         return None
-    if len(ids) and (ids.min() < 0 or ids.max() >= ID_LIMIT):
+    if len(ids) and (ids.min() < 0 or ids.max() >= limit):
         return None
     return ids, weights
 
@@ -99,8 +110,10 @@ def _header(path: PathLike, stripped: list[str], weighted: bool):
     return None, None
 
 
-def _first_fault(path: PathLike, linenos, data, want: int) -> ParseError:
+def _first_fault(path: PathLike, linenos, data, want: int,
+                 limit: int) -> ParseError:
     """The error of the first data line that fails a check, line by line."""
+    noun = "label" if want == 1 else "vertex id"
     for lineno, line in zip(linenos, data):
         fields = line.split()
         if len(fields) != want:
@@ -110,52 +123,45 @@ def _first_fault(path: PathLike, linenos, data, want: int) -> ParseError:
             row = [int(f) for f in fields]
         except ValueError:
             return ParseError(path, lineno, f"non-integer field in {line!r}")
-        if row[0] < 0 or row[1] < 0:
-            return ParseError(path, lineno, "negative vertex id")
-        if max(row[:2]) >= ID_LIMIT:
-            return ParseError(path, lineno,
-                              f"vertex id {max(row[:2])} is not below 2**31")
+        if min(row[:2]) < 0:
+            return ParseError(path, lineno, f"negative {noun}")
+        if max(row[:2]) >= limit:
+            shown = "2**31" if limit == ID_LIMIT else limit
+            return ParseError(path, lineno, f"{noun} {max(row[:2])} "
+                                            f"is not below {shown}")
     raise AssertionError("the bulk parse rejected a file with no faulty line")
 
 
 def read_labels(path: PathLike, below: Optional[int] = None) -> dict[int, int]:
-    """One label per data line; a label at or above ``below`` fails there."""
-    labels: dict[int, int] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        v = 0
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                label = int(line)
-            except ValueError:
-                raise ParseError(path, lineno, f"non-integer label {line!r}")
-            if below is not None and label >= below:
-                raise ParseError(path, lineno,
-                                 f"label {label} is not below {below}")
-            labels[v] = label
-            v += 1
-    return labels
+    """One label per data line, for vertices 0, 1, ... in turn.
+
+    A label is read like a vertex id: ``int()`` syntax, non-negative and
+    below ``min(below, 2**31)``.  The first faulty label fails at its line.
+    """
+    limit = ID_LIMIT if below is None else min(below, ID_LIMIT)
+    _, labels, _ = _rows(path, _lines(path), 1, limit)
+    return dict(enumerate(labels[:, 0].tolist()))
 
 
-def _sibling_labels(path: PathLike, labels_path: Optional[PathLike],
+def _sibling_labels(path: PathLike, labels_path: Optional[PathLike], n: int,
                     below: Optional[int] = None) -> Optional[dict[int, int]]:
-    if labels_path is not None:
-        return read_labels(labels_path, below)
-    sibling = Path(f"{path}.labels")
-    if sibling.exists():
-        return read_labels(sibling, below)
-    return None
+    """The labels at ``labels_path``, else in a "<path>.labels" sibling,
+    else None; a labels file must have one entry per vertex."""
+    if labels_path is None:
+        labels_path = Path(f"{path}.labels")
+        if not labels_path.exists():
+            return None
+    labels = read_labels(labels_path, below)
+    if len(labels) != n:
+        raise ParseError(path, 0,
+                         f"label file has {len(labels)} entries for n={n}")
+    return labels
 
 
 def read_edge_list(path: PathLike,
                    labels_path: Optional[PathLike] = None) -> Graph:
     n, _, linenos, ids, _ = _parse(path, weighted=False)
-    labels = _sibling_labels(path, labels_path)
-    if labels is not None and len(labels) != n:
-        raise ParseError(path, 0,
-                         f"label file has {len(labels)} entries for n={n}")
+    labels = _sibling_labels(path, labels_path, n)
     return _build(path, linenos, ids, n, labels)
 
 
@@ -175,31 +181,29 @@ def read_weighted_kpartite(path: PathLike,
     """Read "u v w" lines plus a labels sibling into a weighted instance.
 
     The part count comes from the header k= field when present, else
-    max label + 1; a label not below both n and ``PART_SLACK`` fails at its
-    line.  The weight bound is the largest |w| observed; a weight too
-    large for the solver on k parts fails at its line.
+    max label + 1.  A label must be below the header's k, or without one
+    below max(n, ``PART_SLACK``); a label that is not, and an edge within
+    one part, fail at their lines.  The weight bound is the largest |w|
+    observed; a weight too large for the solver on k parts fails at its
+    line.
     """
     n, header_k, linenos, ids, row_weights = _parse(path, weighted=True)
-    weights = {}
-    for lineno, (u, v), w in zip(linenos.tolist(), ids.tolist(), row_weights):
-        key = (u, v) if u < v else (v, u)
-        if key in weights and weights[key] != w:
-            raise ParseError(path, lineno,
-                             f"conflicting weights for edge {key}")
-        weights[key] = w
-    labels = _sibling_labels(path, labels_path, max(n, PART_SLACK))
+    below = header_k if header_k is not None else max(n, PART_SLACK)
+    labels = _sibling_labels(path, labels_path, n, below)
     if labels is None:
         raise ParseError(path, 0, "weighted k-partite file needs a labels file")
-    if len(labels) != n:
-        raise ParseError(path, 0,
-                         f"label file has {len(labels)} entries for n={n}")
     k = header_k if header_k is not None else 1 + max(labels.values(), default=0)
-    bound = max(map(abs, row_weights), default=0)
     base = _build(path, linenos, ids, n, labels)
-    try:
-        wg = WeightedKPartiteGraph(base, k, weights, bound)
-    except Exception as exc:
-        raise ParseError(path, 0, str(exc))
+    part = np.fromiter(labels.values(), np.int64, n)[ids]
+    same = part[:, 0] == part[:, 1]
+    if same.any():
+        i = int(same.argmax())
+        raise ParseError(path, int(linenos[i]),
+                         f"edge {tuple(ids[i].tolist())} lies within "
+                         f"part {part[i, 0]}")
+    weights = dict(zip(map(tuple, np.sort(ids, axis=1).tolist()), row_weights))
+    bound = max(map(abs, row_weights), default=0)
+    wg = WeightedKPartiteGraph(base, k, weights, bound)
     limit = max_weight(k)
     if bound > limit:
         i = next(i for i, w in enumerate(row_weights) if abs(w) > limit)

@@ -273,6 +273,36 @@ def test_verify_flags_mutated_lister(tmp_path, capsys):
     assert "1 missing" in out
 
 
+@pytest.mark.parametrize("kind, name, extra", [
+    ("triangle", "list_triangles", ()),
+    ("c4", "list_4cycles", ()),
+    ("clique", "list_kcliques", ("--k", "3")),
+])
+def test_list_and_verify_call_the_lister_bound_in_cli(tmp_path, capsys,
+                                                      monkeypatch, kind, name,
+                                                      extra):
+    """A tracer rebinds the listers in arbolist.cli; both commands must
+    call the rebound function, not one captured at import."""
+    import arbolist.cli as cli
+
+    real = getattr(cli, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recording)
+    path = str(tmp_path / "g.txt")
+    write_edge_list(path, random_gnm(12, 30, 2))
+    for command, flags in (("list", ()), ("list", ("--count-only",)),
+                           ("verify", ())):
+        code, _, _ = run(capsys, command, "--input", path, "--kind", kind,
+                         *extra, *flags)
+        assert code == 0
+    assert calls == [name] * 3
+
+
 def test_verify_too_large_exit_code(tmp_path, capsys):
     path = str(tmp_path / "big.txt")
     with open(path, "w") as fh:

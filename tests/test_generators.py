@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -75,6 +76,29 @@ def test_gnm_shapes_and_determinism():
     b = random_gnm(100, 300, 7)
     assert a.edge_set() == b.edge_set()
     assert random_gnm(100, 300, 8).edge_set() != a.edge_set()
+
+
+def _gnm_by_bisect(n, m, seed):
+    """random_gnm's edges as a per-edge bisect over the row starts finds
+    them, for comparison."""
+    picked = sorted(random.Random(seed).sample(range(math.comb(n, 2)), m))
+    row_start = [0] * n
+    for u in range(1, n):
+        row_start[u] = row_start[u - 1] + (n - u)
+    edges = []
+    for idx in picked:
+        u = bisect_right(row_start, idx) - 1
+        edges.append((u, u + 1 + idx - row_start[u]))
+    return edges
+
+
+@pytest.mark.parametrize("n, m, seed", [(0, 0, 0), (1, 0, 5), (2, 1, 1),
+                                        (7, 21, 2), (40, 100, 3),
+                                        (300, 2000, 4)])
+def test_gnm_matches_a_per_edge_bisect(n, m, seed):
+    g = random_gnm(n, m, seed)
+    assert g.n == n
+    assert list(g.edges()) == _gnm_by_bisect(n, m, seed)
 
 
 def test_gnm_rejects_overfull():
@@ -265,6 +289,17 @@ def test_random_weighted_kpartite_shape():
     assert validate_kpartite(wg.base, 3)
     again = random_weighted_kpartite(3, 5, 0.5, 30, seed=4)
     assert again.weights == wg.weights
+
+
+@pytest.mark.parametrize("k, n_part, edge_prob", [(2, 4, 0.5), (3, 5, 0.3),
+                                                   (4, 3, 0.7)])
+def test_weighted_and_plain_kpartite_draw_the_same_edges(k, n_part, edge_prob):
+    """Both generators draw the edges first, one draw per pair in order."""
+    for seed in range(4):
+        plain = random_kpartite(k, n_part, edge_prob, seed)
+        wg = random_weighted_kpartite(k, n_part, edge_prob, 9, seed)
+        assert wg.base.edge_set() == plain.edge_set()
+        assert wg.base.part_label == plain.part_label
 
 
 def test_random_weighted_kpartite_planting():

@@ -211,6 +211,69 @@ def test_weighted_construction_error_points_at_its_line(tmp_path):
     assert err.value.lineno == 4
 
 
+def test_weighted_fault_before_a_conflicting_repeat_is_named_first(tmp_path):
+    p = tmp_path / "w.txt"
+    p.write_text("# n=4 k=2\n0 2 1\n1 1 5\n0 3 2\n0 2 7\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n1\n1\n")
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert err.value.lineno == 3
+    assert "self loop at vertex 1" in str(err.value)
+
+
+def test_weighted_conflicting_repeat_is_a_duplicate_edge(tmp_path):
+    p = tmp_path / "w.txt"
+    p.write_text("# n=2 k=2\n0 1 4\n1 0 5\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n")
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert str(err.value) == f"{p}:3: duplicate edge (1, 0)"
+
+
+def test_weighted_same_part_edge_fails_at_its_line(tmp_path):
+    p = tmp_path / "w.txt"
+    p.write_text("# n=4 k=2\n0 1 1\n2 3 1\n0 2 1\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n0\n1\n")
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert err.value.lineno == 4
+    assert "(0, 2)" in str(err.value)
+
+
+def test_weighted_label_at_the_header_k_fails_at_its_line(tmp_path):
+    p = tmp_path / "w.txt"
+    p.write_text("# n=3 k=2\n0 1 1\n")
+    labels = tmp_path / "w.txt.labels"
+    labels.write_text("0\n1\n2\n")
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert (str(err.value.path), err.value.lineno) == (str(labels), 3)
+    assert "label 2 is not below 2" in str(err.value)
+
+
+@pytest.mark.parametrize("label, message", [
+    ("-1", "negative label"),
+    ("2147483648", "label 2147483648 is not below 2**31"),
+    ("1.0", "non-integer field"),
+])
+def test_unweighted_bad_label_fails_at_its_line(tmp_path, label, message):
+    p = tmp_path / "g.txt"
+    p.write_text("0 1\n1 2\n")
+    labels = tmp_path / "g.txt.labels"
+    labels.write_text(f"0\n# comment\n1\n{label}\n")
+    with pytest.raises(ParseError) as err:
+        read_edge_list(p)
+    assert (str(err.value.path), err.value.lineno) == (str(labels), 4)
+    assert message in str(err.value)
+
+
+def test_labels_follow_int_syntax(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("0 1\n1 2\n")
+    (tmp_path / "g.txt.labels").write_text("+5\n007\n1_000\n")
+    assert read_edge_list(p).part_label == {0: 5, 1: 7, 2: 1000}
+
+
 def test_weighted_round_trip(tmp_path):
     wg = random_weighted_kpartite(3, 4, 0.6, 20, seed=2)
     p = tmp_path / "w.txt"
