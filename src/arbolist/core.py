@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil
 from numbers import Integral
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -22,51 +21,58 @@ from .errors import (
 class Graph:
     """Undirected simple graph on dense integer vertices 0..n-1.
 
-    Adjacency lists are kept sorted ascending, which makes iteration order
-    reproducible and lets ``has_edge`` use binary search.  Instances never
-    mutate after construction, so they are safe to share between threads.
+    The adjacency is one read-only int64 CSR, v's neighbours sorted
+    ascending in ``indices[indptr[v]:indptr[v + 1]]``, so iteration order
+    is reproducible and ``has_edge`` uses ``searchsorted``.  Instances
+    never mutate after construction, so they are safe to share between
+    threads.
 
     ``part_label`` optionally maps every vertex to a part index.  The label
     map is carried along verbatim; use :func:`validate_kpartite` to check
     that it is a proper k-partition of the edge set.
     """
 
-    __slots__ = ("n", "m", "part_label", "_adj")
+    __slots__ = ("n", "m", "part_label", "indptr", "indices")
 
-    def __init__(self, n: int, adj: Sequence[Sequence[int]],
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  part_label: Optional[dict[int, int]] = None):
-        # Trusted constructor: adj must already be sorted, symmetric and
-        # loop-free.  Everyone else goes through from_edge_list().
+        # Trusted constructor: the CSR must already be sorted, symmetric
+        # and loop-free.  Everyone else goes through from_edge_list().
+        indptr.flags.writeable = indices.flags.writeable = False
         self.n = n
-        self._adj = tuple(map(tuple, adj))
-        self.m = sum(map(len, self._adj)) // 2
+        self.m = len(indices) // 2
+        self.indptr, self.indices = indptr, indices
         self.part_label = part_label
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
+    def _row(self, v: int) -> np.ndarray:
+        if not 0 <= v < self.n:
+            raise VertexOutOfRangeError(v, self.n)
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(self._row(v).tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._row(v))
 
     def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self._adj), default=0)
+        return int(np.diff(self.indptr).max(initial=0))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise VertexOutOfRangeError(u if not 0 <= u < self.n else v, self.n)
-        nbrs = self._adj[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
+        row = self._row(u)
+        if not 0 <= v < self.n:
+            raise VertexOutOfRangeError(v, self.n)
+        i = row.searchsorted(v)
+        return bool(i < len(row) and row[i] == v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield every edge once as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if v > u:
-                    yield (u, v)
+        source = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        up = self.indices > source
+        return zip(source[up].tolist(), self.indices[up].tolist())
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges())
@@ -98,10 +104,8 @@ def from_edge_list(pairs: Union[Iterable[tuple[int, int]], np.ndarray], n: int,
         raise _pair_error(given[i], n, i)
     # CSR: both orientations of every edge, sorted by (source, target).
     arcs = np.sort(np.concatenate((key, hi * n + lo)))
-    targets = tuple((arcs % n).tolist())
-    ends = np.bincount(arcs // n, minlength=n).cumsum().tolist()
-    adj = [targets[a:b] for a, b in zip([0] + ends, ends)]
-    return Graph(n, adj, part_label)
+    indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
+    return Graph(n, indptr, arcs % n, part_label)
 
 
 def _id_array(given, n: int) -> np.ndarray:
@@ -137,10 +141,9 @@ def _pair_error(pair, n: int, index: int) -> ArbolistError:
 
 @dataclass(frozen=True)
 class OrderingResult:
-    """An elimination order, its inverse, the degeneracy and the out-lists."""
+    """An elimination order, the degeneracy and the out-lists."""
 
     order: tuple[int, ...]
-    position: tuple[int, ...]
     degeneracy: int
     later: list[list[int]]
 
@@ -157,7 +160,8 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
     come out sorted by position, with no sort.
     """
     n = g.n
-    deg = [g.degree(v) for v in range(n)]
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    deg = np.diff(g.indptr).tolist()
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for v in range(n):
         buckets[deg[v]].append(v)
@@ -176,7 +180,7 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
         position[v] = len(order)
         order.append(v)
         degeneracy = max(degeneracy, d)
-        for u in g.neighbors(v):
+        for u in indices[indptr[v]:indptr[v + 1]]:
             if position[u] < 0:
                 deg[u] -= 1
                 buckets[deg[u]].append(u)
@@ -184,7 +188,7 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
                 later[u].append(v)
         # Removing v lowers each remaining degree by at most one.
         d = max(d - 1, 0)
-    return OrderingResult(tuple(order), tuple(position), degeneracy, later)
+    return OrderingResult(tuple(order), degeneracy, later)
 
 
 @dataclass(frozen=True)
@@ -222,15 +226,16 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     for v in old_ids:
         if not 0 <= v < g.n:
             raise VertexOutOfRangeError(v, g.n)
-    new_id = {old: i for i, old in enumerate(old_ids)}
-    adj: list[list[int]] = []
-    for old in old_ids:
-        adj.append([new_id[w] for w in g.neighbors(old) if w in new_id])
+    new_id = np.full(g.n, -1)
+    new_id[old_ids] = np.arange(len(old_ids))
+    u, w = np.repeat(new_id, np.diff(g.indptr)), new_id[g.indices]
+    kept = (u >= 0) & (u < w)
     labels = None
     if g.part_label is not None:
-        labels = {new_id[old]: g.part_label[old]
-                  for old in old_ids if old in g.part_label}
-    return Graph(len(old_ids), adj, labels), tuple(old_ids)
+        labels = {i: g.part_label[old]
+                  for i, old in enumerate(old_ids) if old in g.part_label}
+    return (from_edge_list(np.stack((u[kept], w[kept]), 1), len(old_ids),
+                           labels), tuple(old_ids))
 
 
 def validate_kpartite(g: Graph, k: int) -> bool:
@@ -246,10 +251,6 @@ def validate_kpartite(g: Graph, k: int) -> bool:
     for v in range(g.n):
         if v not in labels:
             raise MissingLabelsError(f"vertex {v} has no part label")
-    for v in range(g.n):
-        if not 0 <= labels[v] < k:
-            return False
-    for u, v in g.edges():
-        if labels[u] == labels[v]:
-            return False
-    return True
+    if not all(0 <= labels[v] < k for v in range(g.n)):
+        return False
+    return all(labels[u] != labels[v] for u, v in g.edges())

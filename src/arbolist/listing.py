@@ -17,7 +17,7 @@ decreasing-degree order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from time import perf_counter
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -244,15 +244,14 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
     """
     t0 = perf_counter()
     n = g.n
-    deg = np.fromiter(map(g.degree, range(n)), np.int64, n)
+    deg = np.diff(g.indptr)
     order = np.argsort(-deg, kind="stable")
     pos = np.empty(n, np.int64)
     pos[order] = np.arange(n)
     # Arc keys source * n + target in positions, sorted: one CSR.  Built
     # in place, and each temporary dropped once used, to bound the peak.
     keys = pos[np.repeat(np.arange(n), deg)] * n
-    keys += pos[np.fromiter(chain.from_iterable(map(g.neighbors, range(n))),
-                            np.int64, 2 * g.m)]
+    keys += pos[g.indices]
     keys.sort()
     del deg, pos
     col = keys % n

@@ -15,8 +15,11 @@ from arbolist import (
     degeneracy_ordering,
     from_edge_list,
     induced_subgraph,
+    polarity_graph,
+    random_gnm,
     validate_kpartite,
 )
+from arbolist.bench import c4_block_family
 
 from .conftest import complete, cycle, path, small_graphs, star
 
@@ -124,7 +127,8 @@ def test_from_edge_list_matches_the_pair_by_pair_build(case):
     array = np.array(pairs, dtype=np.int64 if fits else object)
     for given_pairs in (pairs, iter(pairs), array):
         if failure is None:
-            assert from_edge_list(given_pairs, n)._adj == adj
+            g = from_edge_list(given_pairs, n)
+            assert tuple(map(g.neighbors, range(n))) == adj
             continue
         expected, at = failure
         with pytest.raises(ArbolistError) as err:
@@ -143,6 +147,83 @@ def test_has_edge_rejects_out_of_range():
         g.has_edge(0, 2)
 
 
+@pytest.mark.parametrize("v", [-1, 3])
+def test_per_vertex_accessors_reject_out_of_range(v):
+    """-1 must not wrap around to the last row, nor read past the CSR."""
+    g = from_edge_list([(0, 1), (1, 2)], 3)
+    for accessor in (g.neighbors, g.degree):
+        with pytest.raises(VertexOutOfRangeError) as err:
+            accessor(v)
+        assert (err.value.v, err.value.n) == (v, 3)
+
+
+def test_graph_csr_is_read_only():
+    g = from_edge_list([(0, 1), (1, 2)], 3)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    with pytest.raises(ValueError):
+        g.indptr[1] = 0
+    with pytest.raises(ValueError):
+        g.indices[0] = 2
+    assert g.neighbors(0) == (1,) and g.m == 2
+
+
+def _tuple_edges(adj):
+    """``Graph.edges`` over tuple-of-tuples adjacency, as it was."""
+    for u in range(len(adj)):
+        for v in adj[u]:
+            if v > u:
+                yield (u, v)
+
+
+def _tuple_ordering(adj):
+    """The Matula-Beck loop over tuple-of-tuples adjacency, as it was:
+    (order, degeneracy, later)."""
+    n = len(adj)
+    deg = [len(nbrs) for nbrs in adj]
+    buckets = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(n):
+        buckets[deg[v]].append(v)
+    position = [-1] * n
+    order = []
+    later = [[] for _ in range(n)]
+    degeneracy = d = 0
+    while len(order) < n:
+        if not buckets[d]:
+            d += 1
+            continue
+        v = buckets[d].pop()
+        if deg[v] != d:
+            continue
+        position[v] = len(order)
+        order.append(v)
+        degeneracy = max(degeneracy, d)
+        for u in adj[v]:
+            if position[u] < 0:
+                deg[u] -= 1
+                buckets[deg[u]].append(u)
+            else:
+                later[u].append(v)
+        d = max(d - 1, 0)
+    return tuple(order), degeneracy, later
+
+
+@pytest.mark.parametrize("make", [
+    lambda: polarity_graph(7),
+    lambda: c4_block_family(50, 1),
+    lambda: random_gnm(300, 1500, 2),
+    lambda: complete(6),
+    lambda: from_edge_list([], 0),
+    lambda: from_edge_list([(0, 5), (5, 9), (0, 9), (2, 3)], 12),
+], ids=["polarity-7", "c4-blocks-50", "gnm-300", "k6", "empty", "isolated"])
+def test_csr_graph_orders_and_lists_edges_as_the_tuple_graph(make):
+    g = make()
+    adj = tuple(map(g.neighbors, range(g.n)))
+    order, degeneracy, later = _tuple_ordering(adj)
+    res = degeneracy_ordering(g)
+    assert (res.order, res.degeneracy, res.later) == (order, degeneracy, later)
+    assert list(g.edges()) == list(_tuple_edges(adj))
+
+
 def test_degeneracy_known_values():
     assert degeneracy_ordering(path(10)).degeneracy == 1
     assert degeneracy_ordering(cycle(10)).degeneracy == 2
@@ -155,7 +236,10 @@ def test_degeneracy_ordering_is_permutation_with_positions():
     g = from_edge_list([(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], 5)
     res = degeneracy_ordering(g)
     assert sorted(res.order) == list(range(5))
-    assert all(res.position[res.order[i]] == i for i in range(5))
+    position = [0] * 5
+    for i, v in enumerate(res.order):
+        position[v] = i
+    assert all(position[res.order[i]] == i for i in range(5))
 
 
 @settings(max_examples=60, deadline=None)

@@ -320,7 +320,9 @@ def _assert_orient_matches_reference(g):
     oriented = orient(g)
     assert (oriented.n, oriented.m) == (g.n, g.m)
     assert oriented.order == ordering.order
-    position = ordering.position
+    position = [0] * g.n
+    for i, v in enumerate(ordering.order):
+        position[v] = i
     later = [sorted((w for w in g.neighbors(v) if position[w] > position[v]),
                     key=position.__getitem__) for v in range(g.n)]
     assert later == [list(out) for out in oriented.out]
