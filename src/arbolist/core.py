@@ -141,11 +141,10 @@ def _pair_error(pair, n: int, index: int) -> ArbolistError:
 
 @dataclass(frozen=True)
 class OrderingResult:
-    """An elimination order, the degeneracy and the out-lists."""
+    """An elimination order and the degeneracy."""
 
     order: tuple[int, ...]
     degeneracy: int
-    later: list[list[int]]
 
 
 def degeneracy_ordering(g: Graph) -> OrderingResult:
@@ -155,40 +154,43 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
     the largest degree seen at removal time (the degeneracy).  Uses the
     Matula-Beck bucket queue: one bucket per degree, a vertex is pushed
     again whenever its degree drops and stale entries are skipped on pop,
-    so the cost is O(n + m).  Ties are broken deterministically.  Peeling v
-    appends it to ``later[u]`` of each earlier neighbour u, so the out-lists
-    come out sorted by position, with no sort.
+    so the cost is O(n + m).  Ties are broken deterministically: each
+    bucket is a stack filled in ascending id.  Isolated vertices are what
+    bucket 0 pops first, in descending id, so they are placed in one
+    numpy step and only the other vertices pass through the buckets.
     """
     n = g.n
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    deg = np.diff(g.indptr).tolist()
+    degrees = np.diff(g.indptr)
+    order = np.flatnonzero(degrees == 0)[::-1].tolist()
+    # A removed vertex's degree is set to -1, so its stale entries never
+    # match the bucket they sit in.
+    deg = degrees.tolist()
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
-    for v in range(n):
+    for v in np.flatnonzero(degrees).tolist():
         buckets[deg[v]].append(v)
-    position = [-1] * n
-    order: list[int] = []
-    later: list[list[int]] = [[] for _ in range(n)]
     degeneracy = 0
     d = 0
     while len(order) < n:
-        if not buckets[d]:
+        bucket = buckets[d]
+        if not bucket:
             d += 1
             continue
-        v = buckets[d].pop()
+        v = bucket.pop()
         if deg[v] != d:
             continue
-        position[v] = len(order)
+        deg[v] = -1
         order.append(v)
-        degeneracy = max(degeneracy, d)
+        if d > degeneracy:
+            degeneracy = d
         for u in indices[indptr[v]:indptr[v + 1]]:
-            if position[u] < 0:
+            if deg[u] > 0:
                 deg[u] -= 1
                 buckets[deg[u]].append(u)
-            else:
-                later[u].append(v)
         # Removing v lowers each remaining degree by at most one.
-        d = max(d - 1, 0)
-    return OrderingResult(tuple(order), degeneracy, later)
+        if d:
+            d -= 1
+    return OrderingResult(tuple(order), degeneracy)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from time import perf_counter
 from typing import Iterator, Mapping, Optional
+
+import numpy as np
 
 from .core import Graph, validate_kpartite
 from .errors import BadEpsilonError, BadModulusError, BadSError
@@ -229,18 +231,19 @@ def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKe
             yield prefix + (j,)
 
 
-EdgeIndex = list  # index[slot][i]: list of pointed edges, see index_edges()
+EdgeIndex = list  # index[slot][i]: sorted arc keys, see index_edges()
 
 
 def index_edges(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
                 partition: IntervalPartition,
                 oriented: Orientation) -> EdgeIndex:
-    """Group the edges once by part pair and hashed interval.
+    """Group the arcs once by part pair and hashed interval.
 
-    ``index[slot][i]`` lists the edges between the parts
-    ``pair_order(k)[slot]`` whose hashed weight falls in interval i, each
-    as (u, v) pointed as in ``oriented = orient(g.base)``.  One pass over
-    the edges; :func:`extract_bucket` assembles buckets from these lists.
+    ``index[slot][i]`` holds the arcs of ``oriented = orient(g.base)``
+    between the parts ``pair_order(k)[slot]`` whose hashed weight falls
+    in interval i, as a sorted int64 array of their keys source * n +
+    target in positions.  One pass over the arcs; :func:`extract_bucket`
+    assembles buckets from these arrays.
     """
     pairs = pair_order(g.k)
     slot = {}
@@ -249,12 +252,15 @@ def index_edges(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
     labels = g.base.part_label
     assert labels is not None
     interval_of = partition.interval_of
+    n, order = oriented.n, oriented.order
     index = [[[] for _ in range(partition.s)] for _ in pairs]
-    for u, later in enumerate(oriented.out):
-        for v in later:
-            row = index[slot[labels[u], labels[v]]]
-            row[interval_of(hashed[edge_key(u, v)])].append((u, v))
-    return index
+    src = np.repeat(np.arange(n), np.diff(oriented.indptr))
+    # Arcs in key order, so every list comes out sorted.
+    for a, b in zip(src.tolist(), oriented.indices.tolist()):
+        u, v = order[a], order[b]
+        row = index[slot[labels[u], labels[v]]]
+        row[interval_of(hashed[edge_key(u, v)])].append(a * n + b)
+    return [[np.array(keys, dtype=np.int64) for keys in row] for row in index]
 
 
 def extract_bucket(oriented: Orientation, index: EdgeIndex,
@@ -262,18 +268,16 @@ def extract_bucket(oriented: Orientation, index: EdgeIndex,
     """Bucket keeping, per part pair, the edges hashed into the keyed interval.
 
     ``index`` comes from :func:`index_edges` with the same ``oriented``.
-    The out-lists are filled straight from the C(k,2) lists
+    The bucket's CSR is one concatenate and sort of the C(k,2) arrays
     ``index[slot][key[slot]]`` under the base order, so a bucket costs
-    its own size plus n, with no validation, sort or :class:`Graph`.
-    Vertex ids are kept, so its cliques are cliques of the original graph.
+    its own size plus n, with no validation or :class:`Graph`.  Vertex
+    ids are kept, so its cliques are cliques of the original graph.
     """
     if len(key) != len(index):
         raise ValueError(f"key has {len(key)} entries, expected {len(index)}")
-    lists = [index[slot][i] for slot, i in enumerate(key)]
-    out: list[list[int]] = [[] for _ in range(oriented.n)]
-    for u, v in chain.from_iterable(lists):
-        out[u].append(v)
-    return Orientation(oriented.n, sum(map(len, lists)), oriented.order, out)
+    keys = np.sort(np.concatenate([index[slot][i]
+                                   for slot, i in enumerate(key)]))
+    return Orientation.from_keys(oriented.n, oriented.order, keys)
 
 
 def choose_s(n: int, k: int, epsilon: float) -> int:

@@ -54,6 +54,53 @@ def petersen() -> Graph:
     return from_edge_list(edges, 10)
 
 
+def out_lists(oriented):
+    """An Orientation's CSR rows as per-vertex lists: entry v holds v's
+    later neighbours as vertex ids, in the row's order."""
+    order = oriented.order
+    out = [[] for _ in range(oriented.n)]
+    for i, v in enumerate(order):
+        row = oriented.indices[oriented.indptr[i]:oriented.indptr[i + 1]]
+        out[v] = [order[p] for p in row.tolist()]
+    return out
+
+
+def label_walk(order, out, k, sink, make):
+    """The k-clique label walk over per-vertex out-lists, as it ran
+    before triangles became a wedge scan: ``out[v]`` lists v's later
+    neighbours, and cliques start from the vertices in ``order``.
+    Returns (emitted, steps)."""
+    label = {v: k for v in order}
+    steps = emitted = 0
+
+    def extend(l, candidates, prefix):
+        nonlocal steps, emitted
+        for u in candidates:
+            later = out[u]
+            steps += len(later)
+            if l == 2:
+                for w in later:
+                    if label[w] == 2:
+                        emitted += 1
+                        if sink(make(prefix + (u, w))):
+                            return True
+                continue
+            kept = [w for w in later if label[w] == l]
+            if len(kept) < l - 1:
+                continue
+            for w in kept:
+                label[w] = l - 1
+            stopped = extend(l - 1, kept, prefix + (u,))
+            for w in kept:
+                label[w] = l
+            if stopped:
+                return True
+        return False
+
+    extend(k, order, ())
+    return emitted, steps
+
+
 @st.composite
 def small_graphs(draw, max_n: int = 12):
     n = draw(st.integers(min_value=1, max_value=max_n))

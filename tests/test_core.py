@@ -15,13 +15,14 @@ from arbolist import (
     degeneracy_ordering,
     from_edge_list,
     induced_subgraph,
+    orient,
     polarity_graph,
     random_gnm,
     validate_kpartite,
 )
 from arbolist.bench import c4_block_family
 
-from .conftest import complete, cycle, path, small_graphs, star
+from .conftest import complete, cycle, out_lists, path, small_graphs, star
 
 
 def test_from_edge_list_basic():
@@ -214,13 +215,16 @@ def _tuple_ordering(adj):
     lambda: complete(6),
     lambda: from_edge_list([], 0),
     lambda: from_edge_list([(0, 5), (5, 9), (0, 9), (2, 3)], 12),
-], ids=["polarity-7", "c4-blocks-50", "gnm-300", "k6", "empty", "isolated"])
+    lambda: from_edge_list([(7, 3), (3, 9), (9, 7), (9, 19998)], 20000),
+], ids=["polarity-7", "c4-blocks-50", "gnm-300", "k6", "empty", "isolated",
+        "mostly-isolated"])
 def test_csr_graph_orders_and_lists_edges_as_the_tuple_graph(make):
     g = make()
     adj = tuple(map(g.neighbors, range(g.n)))
     order, degeneracy, later = _tuple_ordering(adj)
     res = degeneracy_ordering(g)
-    assert (res.order, res.degeneracy, res.later) == (order, degeneracy, later)
+    assert ((res.order, res.degeneracy, out_lists(orient(g)))
+            == (order, degeneracy, later))
     assert list(g.edges()) == list(_tuple_edges(adj))
 
 

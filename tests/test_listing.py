@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -15,6 +16,7 @@ from arbolist import (
     brute_4cycles,
     brute_kcliques,
     brute_triangles,
+    clique_record,
     count_4cycles,
     count_kcliques,
     count_triangles,
@@ -30,11 +32,14 @@ from arbolist import (
     triangle_record,
 )
 from arbolist.bench import c4_block_family
+from arbolist.oracle import MAX_TRIANGLE_N
 
 from .conftest import (
     complete,
     complete_bipartite,
     cycle,
+    label_walk,
+    out_lists,
     petersen,
     small_graphs,
     star,
@@ -281,14 +286,14 @@ def assert_4cycles_match_reference(g, stops=True):
 @given(g=small_graphs(max_n=10))
 def test_4cycles_match_the_vertex_by_vertex_lister(batch, g):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(listing, "_C4_BATCH", batch)
+        mp.setattr(listing, "_BATCH", batch)
         assert_4cycles_match_reference(g)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 4096])
 def test_4cycles_match_the_vertex_by_vertex_lister_at_the_edges(
         monkeypatch, batch):
-    monkeypatch.setattr(listing, "_C4_BATCH", batch)
+    monkeypatch.setattr(listing, "_BATCH", batch)
     isolated = from_edge_list([(3, 900), (900, 4000), (4000, 17), (17, 3)],
                               5000)
     for g in (from_edge_list([], 0), from_edge_list([], 7), isolated,
@@ -325,7 +330,7 @@ def _assert_orient_matches_reference(g):
         position[v] = i
     later = [sorted((w for w in g.neighbors(v) if position[w] > position[v]),
                     key=position.__getitem__) for v in range(g.n)]
-    assert later == [list(out) for out in oriented.out]
+    assert later == out_lists(oriented)
     assert sorted(oriented.edges()) == sorted(g.edges())
 
 
@@ -346,6 +351,106 @@ def test_orient_out_lists_on_fixed_graphs(make):
     """The same reference on graphs above hypothesis's sizes and on edge
     cases: no vertex, and isolated vertices among the edges."""
     _assert_orient_matches_reference(make())
+
+
+def reference_k3(g, sink, make):
+    """The k=3 label walk on out-lists of later neighbours sorted by
+    position in the degeneracy order.  Returns (emitted, steps)."""
+    order = degeneracy_ordering(g).order
+    position = {v: i for i, v in enumerate(order)}
+    out = {v: sorted((w for w in g.neighbors(v) if position[w] > position[v]),
+                     key=position.__getitem__) for v in order}
+    return label_walk(order, out, 3, sink, make)
+
+
+K3_LISTERS = {
+    "triangles": (list_triangles, lambda vs: triangle_record(*vs)),
+    "kcliques-3": (lambda g, sink: list_kcliques(g, 3, sink), clique_record),
+    "oriented": (lambda g, sink: list_triangles(orient(g), sink),
+                 lambda vs: triangle_record(*vs)),
+}
+
+
+def assert_k3_matches_the_walk(g, lister, make, every_stop=False):
+    """Same records, order, count and steps as the label walk, run to
+    the end and stopped after the first, a middle and the last record
+    (with ``every_stop``, after every record)."""
+    want = []
+    expected = reference_k3(g, want.append, make)
+    got = []
+    stats = lister(g, got.append)
+    assert got == want
+    assert (stats.emitted_count, stats.steps) == expected
+    total = len(want)
+    if every_stop:
+        stops = range(1, total + 1)
+    else:
+        stops = sorted({1, (total + 1) // 2, total}) if total else []
+    for j in stops:
+        seen, ref = [], []
+        stats = lister(g, lambda r: seen.append(r) or len(seen) == j)
+        expected = reference_k3(g, lambda r: ref.append(r) or len(ref) == j,
+                                make)
+        assert seen == ref == want[:j]
+        assert (stats.emitted_count, stats.steps) == expected
+
+
+@pytest.mark.parametrize("lister", sorted(K3_LISTERS))
+@pytest.mark.parametrize("batch", [1, 7, 4096])
+@settings(max_examples=30, deadline=None)
+@given(g=small_graphs(max_n=10))
+def test_k3_scan_matches_the_label_walk(lister, batch, g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(listing, "_BATCH", batch)
+        assert_k3_matches_the_walk(g, *K3_LISTERS[lister], every_stop=True)
+
+
+@pytest.mark.parametrize("lister", sorted(K3_LISTERS))
+@pytest.mark.parametrize("batch", [64, 4096])
+@pytest.mark.parametrize("make", [
+    lambda: c4_block_family(2000, 1),
+    lambda: polarity_graph(23),
+    lambda: random_gnm(5000, 25000, 3),
+    lambda: from_edge_list([], 0),
+    lambda: from_edge_list([], 9),
+    lambda: from_edge_list([(3, 900), (900, 4000), (4000, 3), (17, 3)], 5000),
+    lambda: complete(9),
+], ids=["c4-blocks-2000", "polarity-23", "gnm-5000", "empty", "edgeless",
+        "isolated", "k9"])
+def test_k3_scan_matches_the_label_walk_on_fixed_graphs(monkeypatch, make,
+                                                        batch, lister):
+    monkeypatch.setattr(listing, "_BATCH", batch)
+    assert_k3_matches_the_walk(make(), *K3_LISTERS[lister])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: polarity_graph(31),
+    lambda: random_gnm(1500, 30000, 8),
+    lambda: c4_block_family(300, 2),
+], ids=["polarity-31", "gnm-1500", "c4-blocks-300"])
+def test_triangle_count_matches_numpy_trace(make):
+    """Above the triangle oracle's guard: the scan's count is
+    trace(A^3) / 6, and the orientation's largest out-degree is the
+    degeneracy."""
+    g = make()
+    assert g.n > MAX_TRIANGLE_N
+    a = np.zeros((g.n, g.n), dtype=np.float32)
+    u, v = np.array(list(g.edges())).T
+    a[u, v] = a[v, u] = 1
+    # float32 is exact: every entry of A^2 is a count below 2^24.
+    trace = float(((a @ a) * a).sum(dtype=np.float64))
+    got = count_triangles(g)
+    assert got > 0 and 6 * got == trace
+    assert count_kcliques(g, 3) == got
+    out = np.diff(orient(g).indptr)
+    assert out.max() == degeneracy_ordering(g).degeneracy
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_orientation_out_degree_is_the_degeneracy(g):
+    out = np.diff(orient(g).indptr)
+    assert out.max(initial=0) == degeneracy_ordering(g).degeneracy
 
 
 def test_listers_walk_an_orientation_as_it_is():

@@ -30,6 +30,8 @@ from arbolist import core, listing
 from arbolist.primes import next_prime_above
 from arbolist.zeroclique import max_weight
 
+from .conftest import label_walk, out_lists
+
 
 def _triangle_instance(weights=(5, 5, 5), bound=None):
     base = from_edge_list([(0, 1), (0, 2), (1, 2)], 3, {0: 0, 1: 1, 2: 2})
@@ -261,7 +263,7 @@ def test_bucket_equals_direct_filter():
             assert bucket.n == wg.base.n
             assert bucket.m == len(want)
             assert bucket.order == oriented.order
-            for u, later in enumerate(bucket.out):
+            for u, later in enumerate(out_lists(bucket)):
                 for v in later:
                     # pointed from the earlier to the later endpoint
                     assert position[u] < position[v]
@@ -277,6 +279,62 @@ def test_extract_bucket_rejects_wrong_key_length():
     oriented, index = _indexed(wg, hashed, partition_intervals(101, 2))
     with pytest.raises(ValueError):
         extract_bucket(oriented, index, (0, 0))
+
+
+def _reference_solve(wg, k, s, seed):
+    """The solve with each admissible bucket built edge by edge as
+    per-vertex out-lists, sorted by position in the base order, and
+    listed by the label walk: (witness, buckets_examined,
+    cliques_listed_total)."""
+    p = next_prime_above(max(k * k * wg.weight_bound, wg.base.n))
+    hashed, _ = hash_weights(wg, p, seed)
+    part = partition_intervals(p, s)
+    order = core.degeneracy_ordering(wg.base).order
+    position = {v: i for i, v in enumerate(order)}
+    slot = {pq: i for i, pq in enumerate(combinations(range(k), 2))}
+    labels = wg.base.part_label
+    examined = listed = 0
+    for key in admissible_tuples(part, k):
+        examined += 1
+        out = {v: [] for v in order}
+        for u, v in wg.base.edges():
+            pair = tuple(sorted((labels[u], labels[v])))
+            if part.interval_of(hashed[u, v]) == key[slot[pair]]:
+                a, b = sorted((u, v), key=position.__getitem__)
+                out[a].append(b)
+        for row in out.values():
+            row.sort(key=position.__getitem__)
+        hit = []
+
+        def check(record):
+            if sum(wg.weight(u, v) for u, v in combinations(record, 2)) == 0:
+                hit.append(record)
+                return True
+            return None
+
+        emitted, _ = label_walk(order, out, k, check,
+                                lambda vs: tuple(sorted(vs)))
+        listed += emitted
+        if hit:
+            return hit[0], examined, listed
+    return None, examined, listed
+
+
+@pytest.mark.parametrize("k, n_part, s", [(3, 10, 3), (3, 16, 4), (4, 6, 2)])
+def test_solver_matches_the_bucket_walk(k, n_part, s):
+    """Witness, buckets examined and cliques listed equal the label walk's
+    on every bucket, with and without a planted zero clique."""
+    outcomes = set()
+    for seed in range(6):
+        for planted in (False, True):
+            wg = random_weighted_kpartite(k, n_part, 0.6, 1000, seed,
+                                          planted=planted)
+            report = solve_zero_kclique(wg, k, s=s, seed=seed)
+            assert ((report.witness, report.buckets_examined,
+                     report.cliques_listed_total)
+                    == _reference_solve(wg, k, s, seed))
+            outcomes.add(report.found)
+    assert outcomes == {False, True}
 
 
 def test_bucket_cliques_match_validated_graphs():
