@@ -47,12 +47,14 @@ def _stats_line(stats: EnumerationStats, load: float) -> str:
             f"load={load:.6f}")
 
 
-def _kind(kind: str, k: Optional[int]):
-    """The lister, the oracle and the record line format of one kind.
+def _kind(kind: str, k: Optional[int], n: int):
+    """The lister, the oracle and the record line format of one kind on
+    a graph of n vertices.
 
     The listers are looked up here, when a command runs, not in a table
     built at import, so a lister rebound in this module (as a tracer
-    does) is the one called.
+    does) is the one called.  A clique has at most n vertices, so a k
+    above n lists nothing and sizes nothing.
     """
     if kind == "triangle":
         return list_triangles, oracle.brute_triangles, "T %d %d %d\n"
@@ -60,7 +62,7 @@ def _kind(kind: str, k: Optional[int]):
         return list_4cycles, oracle.brute_4cycles, "C4 %d %d %d %d\n"
     return (lambda g, sink: list_kcliques(g, k, sink),
             lambda g: oracle.brute_kcliques(g, k),
-            f"K{k}" + " %d" * k + "\n")
+            f"K{k}" + " %d" * min(k, n) + "\n")
 
 
 def cmd_gen(args) -> int:
@@ -98,7 +100,7 @@ def cmd_list(args) -> int:
     t0 = perf_counter()
     g = graphio.read_edge_list(args.input)
     load = perf_counter() - t0
-    lister, _, line = _kind(args.kind, args.k)
+    lister, _, line = _kind(args.kind, args.k, g.n)
     if args.count_only:
         stats = lister(g, lambda record: None)
         print(f"COUNT {args.kind} {stats.emitted_count}")
@@ -122,7 +124,7 @@ def cmd_verify(args, lister=None) -> int:
     wrong lister is flagged; the default is the real one.
     """
     g = graphio.read_edge_list(args.input)
-    fast, brute, _ = _kind(args.kind, args.k)
+    fast, brute, _ = _kind(args.kind, args.k, g.n)
     expected = brute(g)
     if lister is None:
         collector = Collector()

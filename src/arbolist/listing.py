@@ -9,11 +9,11 @@ for a given graph.
 
 Triangles and k-cliques read one degeneracy orientation
 (:func:`orient`): the ordering, then one sort of the arc keys into a CSR
-in positions.  Triangles (and k-cliques for k=3) are a batched numpy
-wedge scan over it, every other k a label walk over its rows.  Cliques
-are grouped by their earliest vertex in the degeneracy order, and within
-a group they follow the position of their later vertices.  4-cycles are
-grouped by their first vertex in decreasing-degree order.
+in positions.  Every k, triangles included, is one level-wise numpy
+scan over it, batched by ``_BATCH``.  Cliques are grouped by their
+earliest vertex in the degeneracy order, and within a group they follow
+the position of their later vertices.  4-cycles are grouped by their
+first vertex in decreasing-degree order.
 """
 
 from __future__ import annotations
@@ -83,11 +83,12 @@ class EnumerationStats:
 
     ``preprocess_time`` is the vertex ordering plus the one-sort CSR
     built from it, 0 when a lister is handed an :class:`Orientation`;
-    ``emit_time`` is everything after that, the scan or walk together
-    with the sink calls.  ``steps`` counts inner-loop iterations
-    (adjacency entries scanned: for triangles the arcs plus the wedges;
-    plus vertex pairs assembled by the 4-cycle lister); it is the
-    machine-independent work signal the benchmarks normalize against.
+    ``emit_time`` is everything after that, the scan together with the
+    sink calls.  ``steps`` counts inner-loop iterations (adjacency
+    entries scanned: for cliques the row of every clique reached below
+    k, so for triangles the arcs plus the wedges; plus vertex pairs
+    assembled by the 4-cycle lister); it is the machine-independent
+    work signal the benchmarks normalize against.
     """
 
     preprocess_time: float = 0.0
@@ -115,20 +116,20 @@ def _finish(t0: float, t1: float, emitted: int, steps: int) -> EnumerationStats:
 class Orientation(NamedTuple):
     """A graph with each edge pointed at its later endpoint in ``order``.
 
-    Vertices are named by their positions in ``order``: row i of the
-    read-only int64 CSR ``indptr``/``indices`` lists, ascending, the
-    positions later than i adjacent to vertex ``order[i]``.  ``m`` is the
-    number of arcs.
+    Vertices are named by their positions in ``order``, a read-only
+    int64 array: row i of the read-only int64 CSR ``indptr``/``indices``
+    lists, ascending, the positions later than i adjacent to vertex
+    ``order[i]``.  ``m`` is the number of arcs.
     """
 
     n: int
     m: int
-    order: tuple[int, ...]
+    order: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
 
     @classmethod
-    def from_keys(cls, n: int, order: tuple[int, ...],
+    def from_keys(cls, n: int, order: np.ndarray,
                   keys: np.ndarray) -> "Orientation":
         """The orientation whose arcs are the sorted keys source * n +
         target, in positions of ``order``."""
@@ -139,9 +140,8 @@ class Orientation(NamedTuple):
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield every edge once as (u, v) with u < v."""
-        ids = np.array(self.order, dtype=np.int64)
-        u = ids[np.repeat(np.arange(self.n), np.diff(self.indptr))]
-        v = ids[self.indices]
+        u = self.order[np.repeat(np.arange(self.n), np.diff(self.indptr))]
+        v = self.order[self.indices]
         return zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist())
 
 
@@ -149,10 +149,11 @@ def orient(g: Graph) -> Orientation:
     """Degeneracy orientation: every edge pointed from its earlier to its
     later endpoint in the degeneracy order, as one CSR in positions built
     with one sort of the arc keys."""
-    order = degeneracy_ordering(g).order
+    order = np.array(degeneracy_ordering(g).order, dtype=np.int64)
+    order.flags.writeable = False
     n = g.n
     pos = np.empty(n, np.int64)
-    pos[np.array(order, dtype=np.int64)] = np.arange(n)
+    pos[order] = np.arange(n)
     src = pos[np.repeat(np.arange(n), np.diff(g.indptr))]
     dst = pos[g.indices]
     up = src < dst
@@ -170,107 +171,96 @@ def _oriented(g: Graph | Orientation) -> tuple[Orientation, float, float]:
     return orient(g), t0, perf_counter()
 
 
-# Wedges per batch of the triangle and 4-cycle scans.
+# Candidates per batch of the clique scan, wedges of the 4-cycle scan.
 _BATCH = 4096
 
 
 def _batches(cum: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Runs [lo, hi) of items holding about ``_BATCH`` wedges each, where
-    ``cum[i]`` counts the wedges of the items before i; an item with more
-    is a run of its own."""
+    """Runs [lo, hi) of items holding about ``_BATCH`` candidates each,
+    where ``cum[i]`` counts the candidates of the items before i; an item
+    with more is a run of its own."""
     lo, end = 0, len(cum) - 1
     while lo < end:
-        hi = max(int(np.searchsorted(cum, cum[lo] + _BATCH, "right")) - 1,
+        hi = max(int(cum.searchsorted(cum[lo] + _BATCH, "right")) - 1,
                  lo + 1)
         yield lo, hi
         lo = hi
 
 
-def _scan_triangles(g: Graph | Orientation, sink: Sink,
-                    make: Callable[[list], Any]) -> EnumerationStats:
-    """Every triangle as a batched wedge scan over ``g``'s orientation.
+def _scan(g: Graph | Orientation, k: int, sink: Sink,
+          make: Callable[[list], Any]) -> EnumerationStats:
+    """Every k-clique, k >= 2, by a level-wise scan of ``g``'s orientation.
 
-    For every arc u->v of a u with two or more out-arcs, each w in out(v)
-    is a wedge, and a triangle when the arc u->w exists: one
-    ``searchsorted`` on the sorted arc keys decides a whole batch.  Hits
-    come in (u, v, w) order of positions, and ``steps`` counts the arcs
-    plus the wedges, so records, their order and ``steps`` are those of
-    the k=3 label walk.  ``make`` turns an ascending id triple into a
-    record.
+    A level holds j-cliques as rows of positions in lexicographic order,
+    the first the arcs of rows with k - 1 or more arcs.  The extensions
+    of row p1..pj are the w in out(pj) whose arcs pi->w all exist, one
+    ``searchsorted`` per earlier column deciding a batch; a row with
+    fewer than k - j of them is not extended.  A batch's extensions are
+    scanned before the next batch, so records come in lexicographic
+    order.  ``steps`` adds the row of every clique reached below level
+    k.  ``make`` turns an ascending id list into a record.
     """
     o, t0, t1 = _oriented(g)
     n, ptr, col = o.n, o.indptr, o.indices
-    out = np.diff(ptr)
+    out = ptr[1:] - ptr[:-1]
+    if int(out.max(initial=0)) < k - 1:
+        return _finish(t0, t1, 0, o.m)
     src = np.repeat(np.arange(n), out)
     keys = src * n + col
-    # Wedges per arc u->v: |out(v)|, or none when |out(u)| < 2.
-    count = np.where(out[src] >= 2, out[col], 0)
-    acum = np.concatenate(([0], np.cumsum(count)))
-    ids = np.array(o.order, dtype=np.int64)
-    emitted = 0
-    for lo, hi in _batches(acum):
-        arc = np.repeat(np.arange(lo, hi), count[lo:hi])
-        # Wedge i (counted from 0 over all arcs), on arc a, has its w at
-        # col[ptr[col[a]] + i - acum[a]].
-        w = col[ptr[col[arc]] - acum[arc] + np.arange(acum[lo], acum[hi])]
-        want = src[arc] * n + w
-        # Every wanted arc leaves a source in the batch: search only theirs.
-        near = keys[ptr[src[lo]]:ptr[src[hi - 1] + 1]]
-        hit = near[np.minimum(near.searchsorted(want), len(near) - 1)] == want
-        arc, w = arc[hit], w[hit]
-        triples = np.stack((ids[src[arc]], ids[col[arc]], ids[w]), 1)
-        triples.sort(1)
-        # The walk's steps once it reaches arc a: the arcs of every vertex
-        # up to a's source, plus the wedges up to a.
-        at = ptr[src[arc] + 1] + acum[arc + 1]
-        for triple, steps in zip(triples.tolist(), at.tolist()):
-            emitted += 1
-            if sink(make(triple)):
-                return _finish(t0, t1, emitted, steps)
-    return _finish(t0, t1, emitted, o.m + int(acum[-1]))
+    # Level 1 reaches every vertex, so steps starts at the m arcs.
+    steps, emitted = o.m, 0
 
-
-def _walk(g: Graph | Orientation, k: int, sink: Sink) -> EnumerationStats:
-    """The k-clique walk of :func:`list_kcliques` for k = 2 and k >= 4.
-
-    ``label[w] == l`` means position w is still a candidate when l
-    vertices remain to be chosen: choosing u keeps the candidates in u's
-    row and relabels them l - 1, and the labels are restored on the way
-    back.
-    """
-    o, t0, t1 = _oriented(g)
-    order = o.order
-    ptr, col = o.indptr.tolist(), o.indices.tolist()
-    label = [k] * o.n
-    steps = 0
-    emitted = 0
-
-    def extend(l: int, candidates, prefix: tuple) -> bool:
-        """Emit prefix plus every l-clique of candidates; True on stop."""
+    def scan(rows: np.ndarray) -> int | None:
+        """List the j-cliques ``rows`` (j = k) or their extensions; on a
+        stop, return the index of the row it came under."""
         nonlocal steps, emitted
-        for u in candidates:
-            later = col[ptr[u]:ptr[u + 1]]
-            steps += len(later)
-            if l == 2:
-                for w in later:
-                    if label[w] == 2:
-                        emitted += 1
-                        if sink(clique_record(prefix + (order[u], order[w]))):
-                            return True
+        j = rows.shape[1]
+        if j == k:
+            for lo in range(0, len(rows), _BATCH):
+                cliques = o.order[rows[lo:lo + _BATCH]]
+                cliques.sort(1)
+                for at, ids in enumerate(cliques.tolist(), lo):
+                    emitted += 1
+                    if sink(make(ids)):
+                        return at
+            return None
+        cum = np.concatenate(([0], out[rows[:, -1]].cumsum()))
+        steps += int(cum[-1])
+        for lo, hi in _batches(cum):
+            # Candidate i (counted over all rows), on row lo + r with
+            # last position pj, is col[ptr[pj] + i - cum[lo + r]].
+            last = rows[lo:hi, -1]
+            r = np.arange(hi - lo).repeat(out[last])
+            w = col[(ptr[last] - cum[lo:hi]).repeat(out[last])
+                    + np.arange(cum[lo], cum[hi])]
+            for c in range(j - 1):
+                # Every wanted arc leaves a position of column c in the
+                # batch: search only theirs.
+                p = rows[lo:hi, c]
+                near = keys[ptr[p.min()]:ptr[p.max() + 1]]
+                want = p[r] * n + w
+                hit = near[np.minimum(near.searchsorted(want),
+                                      len(near) - 1)] == want
+                r, w = r[hit], w[hit]
+            if j + 1 < k:
+                keep = (np.bincount(r, minlength=hi - lo) >= k - j)[r]
+                r, w = r[keep], w[keep]
+            if not len(r):
                 continue
-            kept = [w for w in later if label[w] == l]
-            if len(kept) < l - 1:
-                continue
-            for w in kept:
-                label[w] = l - 1
-            stopped = extend(l - 1, kept, prefix + (order[u],))
-            for w in kept:
-                label[w] = l
-            if stopped:
-                return True
-        return False
+            at = scan(np.concatenate((rows[lo:hi][r], w[:, None]), 1))
+            if at is not None:
+                # The rows after the one the stop came under were never
+                # reached.
+                at = lo + int(r[at])
+                steps -= int(cum[-1] - cum[at + 1])
+                return at
+        return None
 
-    extend(k, range(o.n), ())
+    first = out[src] >= k - 1
+    rows = np.concatenate((src[first, None], col[first, None]), 1)
+    at = scan(rows)
+    if at is not None:
+        steps -= o.m - int(ptr[rows[at, 0] + 1])
     return _finish(t0, t1, emitted, steps)
 
 
@@ -280,10 +270,10 @@ def list_triangles(g: Graph | Orientation, sink: Sink) -> EnumerationStats:
     The k=3 case of :func:`list_kcliques`, with records as ascending
     :class:`TriangleRecord` triples.  ``preprocess_time`` is the ordering
     and the one-sort CSR of :func:`orient` (0 when handed an
-    :class:`Orientation`), ``emit_time`` the batched wedge scan with the
-    sink calls.
+    :class:`Orientation`), ``emit_time`` the clique scan with the sink
+    calls.
     """
-    return _scan_triangles(g, sink, TriangleRecord._make)
+    return _scan(g, 3, sink, TriangleRecord._make)
 
 
 def count_triangles(g: Graph) -> int:
@@ -408,10 +398,11 @@ def list_kcliques(g: Graph | Orientation, k: int,
     read as it is.  Each clique is then built once, from its earliest
     vertex, by intersecting out-rows (Chiba & Nishizeki 1985; kClist,
     Danisch, Balalau & Sozio 2018), in O(m * degeneracy^(k-2)) time plus
-    the output size.  k=2 emits every edge.  k=3 is the batched wedge
-    scan of :func:`list_triangles`; every other k is a label walk over
-    the rows.  ``preprocess_time`` is :func:`orient`'s ordering and
-    one-sort CSR, ``emit_time`` the scan or walk with the sink calls.
+    the output size.  k=2 emits every edge.  Every k is one level-wise
+    scan: the j-cliques of a level are extended by their last vertex's
+    row, a batch at a time, and checked against the other rows with
+    ``searchsorted``.  ``preprocess_time`` is :func:`orient`'s ordering
+    and one-sort CSR, ``emit_time`` the scan with the sink calls.
 
     Emission order: cliques are grouped by their earliest vertex in the
     orientation's order; within a group they follow the rows, which
@@ -419,9 +410,7 @@ def list_kcliques(g: Graph | Orientation, k: int,
     """
     if k < 2:
         raise KTooSmallError(k)
-    if k == 3:
-        return _scan_triangles(g, sink, tuple)
-    return _walk(g, k, sink)
+    return _scan(g, k, sink, tuple)
 
 
 def count_kcliques(g: Graph, k: int) -> int:

@@ -97,6 +97,8 @@ def brute_kcliques(g: Graph, k: int) -> set[CliqueRecord]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if k > g.n:
+        return set()
     if comb(g.n, k) > MAX_CLIQUE_SUBSETS:
         raise TooLargeError(
             f"C({g.n}, {k}) exceeds the {MAX_CLIQUE_SUBSETS} subset guard")

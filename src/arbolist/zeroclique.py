@@ -252,7 +252,7 @@ def index_edges(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
     labels = g.base.part_label
     assert labels is not None
     interval_of = partition.interval_of
-    n, order = oriented.n, oriented.order
+    n, order = oriented.n, oriented.order.tolist()
     index = [[[] for _ in range(partition.s)] for _ in pairs]
     src = np.repeat(np.arange(n), np.diff(oriented.indptr))
     # Arcs in key order, so every list comes out sorted.
@@ -324,13 +324,13 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     lexicographic order, listing the cliques of each bucket's
     :class:`Orientation` assembled from that index.  ``extract_s``
     counts the orientation, the index build and every bucket assembly;
-    ``search_s`` the walks with their checks.  Within a bucket, cliques
-    come grouped by their earliest vertex in the base graph's order.
-    Every listed clique is checked against the original weights, and the
-    first exact hit wins, so the search is deterministic for a fixed
-    seed.  A zero-sum clique always lands in the bucket determined by its
-    own hashed edge weights, and that key is admissible, so an existing
-    witness cannot be missed.
+    ``search_s`` the bucket scans with their checks.  Within a bucket,
+    cliques come grouped by their earliest vertex in the base graph's
+    order.  Every listed clique is checked against the original weights,
+    and the first exact hit wins, so the search is deterministic for a
+    fixed seed.  A zero-sum clique always lands in the bucket determined
+    by its own hashed edge weights, and that key is admissible, so an
+    existing witness cannot be missed.
 
     Buckets are independent of each other and could be handed to
     concurrent workers; this implementation walks them sequentially.

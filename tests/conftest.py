@@ -57,7 +57,7 @@ def petersen() -> Graph:
 def out_lists(oriented):
     """An Orientation's CSR rows as per-vertex lists: entry v holds v's
     later neighbours as vertex ids, in the row's order."""
-    order = oriented.order
+    order = oriented.order.tolist()
     out = [[] for _ in range(oriented.n)]
     for i, v in enumerate(order):
         row = oriented.indices[oriented.indptr[i]:oriented.indptr[i + 1]]
@@ -66,10 +66,10 @@ def out_lists(oriented):
 
 
 def label_walk(order, out, k, sink, make):
-    """The k-clique label walk over per-vertex out-lists, as it ran
-    before triangles became a wedge scan: ``out[v]`` lists v's later
-    neighbours, and cliques start from the vertices in ``order``.
-    Returns (emitted, steps)."""
+    """The depth-first k-clique label walk over per-vertex out-lists,
+    the reference the clique scan is checked against: ``out[v]`` lists
+    v's later neighbours, and cliques start from the vertices in
+    ``order``.  Returns (emitted, steps)."""
     label = {v: k for v in order}
     steps = emitted = 0
 

@@ -98,6 +98,23 @@ def test_list_count_only(tmp_path, capsys):
     assert not any(ln.startswith("K3 ") for ln in out.splitlines())
 
 
+@pytest.mark.parametrize("k", [5, 10 ** 19], ids=["n-plus-1", "10e19"])
+def test_clique_k_above_n_lists_nothing(tmp_path, capsys, k):
+    """A clique has at most n vertices: a larger k prints no record and
+    exits 0, and nothing is sized by k."""
+    path = tmp_path / "k4.txt"
+    path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    for command, flags, first in (
+            ("list", (), "STATS "),
+            ("list", ("--count-only",), "COUNT clique 0"),
+            ("verify", (), "verify clique: pass (0 records)")):
+        code, out, err = run(capsys, command, "--input", str(path),
+                             "--kind", "clique", "--k", str(k), *flags)
+        assert (code, err) == (0, ""), (command, flags)
+        assert out.splitlines()[0].startswith(first), (command, flags)
+        assert not any(ln.startswith("K") for ln in out.splitlines())
+
+
 _RECORD_GRAPHS = {
     "polarity5": lambda: polarity_graph(5),
     "c4blocks": lambda: c4_block_family(30, 1),

@@ -324,7 +324,7 @@ def _assert_orient_matches_reference(g):
     ordering = degeneracy_ordering(g)
     oriented = orient(g)
     assert (oriented.n, oriented.m) == (g.n, g.m)
-    assert oriented.order == ordering.order
+    assert tuple(oriented.order) == ordering.order
     position = [0] * g.n
     for i, v in enumerate(ordering.order):
         position[v] = i
@@ -353,30 +353,33 @@ def test_orient_out_lists_on_fixed_graphs(make):
     _assert_orient_matches_reference(make())
 
 
-def reference_k3(g, sink, make):
-    """The k=3 label walk on out-lists of later neighbours sorted by
+def reference_kcliques(g, k, sink, make):
+    """The k-clique label walk on out-lists of later neighbours sorted by
     position in the degeneracy order.  Returns (emitted, steps)."""
     order = degeneracy_ordering(g).order
     position = {v: i for i, v in enumerate(order)}
     out = {v: sorted((w for w in g.neighbors(v) if position[w] > position[v]),
                      key=position.__getitem__) for v in order}
-    return label_walk(order, out, 3, sink, make)
+    return label_walk(order, out, k, sink, make)
 
 
-K3_LISTERS = {
-    "triangles": (list_triangles, lambda vs: triangle_record(*vs)),
-    "kcliques-3": (lambda g, sink: list_kcliques(g, 3, sink), clique_record),
-    "oriented": (lambda g, sink: list_triangles(orient(g), sink),
+# Each scan to check against the walk: its k, the lister and the record
+# the walk should make of an ascending id tuple.
+SCANS = {
+    "triangles": (3, list_triangles, lambda vs: triangle_record(*vs)),
+    "oriented": (3, lambda g, sink: list_triangles(orient(g), sink),
                  lambda vs: triangle_record(*vs)),
+    **{f"kcliques-{k}": (k, lambda g, sink, k=k: list_kcliques(g, k, sink),
+                         clique_record) for k in (2, 3, 4, 5)},
 }
 
 
-def assert_k3_matches_the_walk(g, lister, make, every_stop=False):
+def assert_scan_matches_the_walk(g, k, lister, make, every_stop=False):
     """Same records, order, count and steps as the label walk, run to
     the end and stopped after the first, a middle and the last record
     (with ``every_stop``, after every record)."""
     want = []
-    expected = reference_k3(g, want.append, make)
+    expected = reference_kcliques(g, k, want.append, make)
     got = []
     stats = lister(g, got.append)
     assert got == want
@@ -389,23 +392,24 @@ def assert_k3_matches_the_walk(g, lister, make, every_stop=False):
     for j in stops:
         seen, ref = [], []
         stats = lister(g, lambda r: seen.append(r) or len(seen) == j)
-        expected = reference_k3(g, lambda r: ref.append(r) or len(ref) == j,
-                                make)
+        expected = reference_kcliques(
+            g, k, lambda r: ref.append(r) or len(ref) == j, make)
         assert seen == ref == want[:j]
         assert (stats.emitted_count, stats.steps) == expected
 
 
-@pytest.mark.parametrize("lister", sorted(K3_LISTERS))
+@pytest.mark.parametrize("lister", sorted(SCANS))
 @pytest.mark.parametrize("batch", [1, 7, 4096])
 @settings(max_examples=30, deadline=None)
 @given(g=small_graphs(max_n=10))
 def test_k3_scan_matches_the_label_walk(lister, batch, g):
+    """Every scan, k = 2 to 5, against the walk at every stop."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(listing, "_BATCH", batch)
-        assert_k3_matches_the_walk(g, *K3_LISTERS[lister], every_stop=True)
+        assert_scan_matches_the_walk(g, *SCANS[lister], every_stop=True)
 
 
-@pytest.mark.parametrize("lister", sorted(K3_LISTERS))
+@pytest.mark.parametrize("lister", sorted(SCANS))
 @pytest.mark.parametrize("batch", [64, 4096])
 @pytest.mark.parametrize("make", [
     lambda: c4_block_family(2000, 1),
@@ -419,8 +423,10 @@ def test_k3_scan_matches_the_label_walk(lister, batch, g):
         "isolated", "k9"])
 def test_k3_scan_matches_the_label_walk_on_fixed_graphs(monkeypatch, make,
                                                         batch, lister):
+    """Every scan, k = 2 to 5, against the walk on graphs above
+    hypothesis's sizes and on edge cases."""
     monkeypatch.setattr(listing, "_BATCH", batch)
-    assert_k3_matches_the_walk(make(), *K3_LISTERS[lister])
+    assert_scan_matches_the_walk(make(), *SCANS[lister])
 
 
 @pytest.mark.parametrize("make", [

@@ -262,7 +262,7 @@ def test_bucket_equals_direct_filter():
             assert _as_graph(bucket).edge_set() == want
             assert bucket.n == wg.base.n
             assert bucket.m == len(want)
-            assert bucket.order == oriented.order
+            assert bucket.order is oriented.order
             for u, later in enumerate(out_lists(bucket)):
                 for v in later:
                     # pointed from the earlier to the later endpoint
