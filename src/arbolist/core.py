@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil
 from numbers import Integral
 from typing import Iterable, Iterator, Optional, Union
@@ -139,29 +140,117 @@ def _pair_error(pair, n: int, index: int) -> ArbolistError:
     return DuplicateEdgeError(u, v, index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderingResult:
-    """An elimination order and the degeneracy."""
+    """An elimination order and the degeneracy.
 
-    order: tuple[int, ...]
+    ``array`` is the order as a read-only int64 array; ``order`` is the
+    same order as a tuple, built on first read.
+    """
+
+    array: np.ndarray
     degeneracy: int
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+
+# A peeling frontier of fewer vertices than this goes to the Matula-Beck
+# loop: below it a numpy round costs more than a Python step per vertex.
+_THIN = 64
 
 
 def degeneracy_ordering(g: Graph) -> OrderingResult:
-    """Greedy minimum-residual-degree elimination order.
+    """An elimination order in which every vertex has at most
+    degeneracy-many later neighbours, and the degeneracy.
+
+    Isolated vertices come first, in descending id.  The rest is peeled
+    level by level (Batagelj & Zaversnik 2003): at level d, one numpy
+    round removes every remaining vertex of residual degree at most d,
+    in ascending id, and the next round's frontier is the neighbours it
+    left at degree d or less.  d rises to the minimum remaining degree
+    only when a round leaves no frontier, and the largest d reached is
+    the degeneracy.  As soon as a frontier holds fewer than ``_THIN``
+    vertices, the Matula-Beck loop (:func:`_matula_beck`) orders the
+    remaining vertices, relabelled in ascending id, with its own tie
+    rule.  So a graph whose first frontier is thin, such as a path or a
+    graph with few vertices of minimum degree, gets exactly the
+    Matula-Beck order.  Each round sorts the rows it removed, so the
+    rounds cost O(m log m) in numpy, plus O(n) per rise of d.
+    """
+    indptr, indices = g.indptr, g.indices
+    deg = np.diff(indptr)
+    alive = deg > 0
+    placed = [np.flatnonzero(~alive)[::-1]]
+    level = degeneracy = 0
+    frontier = np.empty(0, np.int64)
+    while True:
+        if not len(frontier):
+            rest = np.flatnonzero(alive)
+            if not len(rest):
+                break
+            level = int(deg[rest].min())
+            frontier = rest[deg[rest] == level]
+        if len(frontier) < _THIN:
+            break
+        degeneracy = level
+        alive[frontier] = False
+        placed.append(frontier)
+        touched = _rows(indptr, indices, frontier)
+        touched, drop = np.unique(touched[alive[touched]], return_counts=True)
+        deg[touched] -= drop
+        frontier = touched[deg[touched] <= level]
+    rest = np.flatnonzero(alive)
+    if len(rest):
+        if len(rest) < g.n:
+            indptr, indices = _residual(indptr, indices, rest, deg)
+        tail, d = _matula_beck(indptr, indices)
+        placed.append(rest[tail])
+        degeneracy = max(degeneracy, d)
+    order = np.concatenate(placed)
+    order.flags.writeable = False
+    return OrderingResult(order, degeneracy)
+
+
+def _rows(indptr: np.ndarray, indices: np.ndarray,
+          vertices: np.ndarray) -> np.ndarray:
+    """The CSR rows of ``vertices`` (at least one), concatenated."""
+    starts = indptr[vertices]
+    lengths = indptr[vertices + 1] - starts
+    ends = np.cumsum(lengths)
+    at = np.arange(ends[-1])
+    return indices[at + np.repeat(starts - ends + lengths, lengths)]
+
+
+def _residual(indptr: np.ndarray, indices: np.ndarray, rest: np.ndarray,
+              deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR induced on the ascending ids ``rest``, relabelled to
+    0..len(rest)-1; ``deg`` holds their degrees in it."""
+    new_id = np.full(len(indptr) - 1, -1)
+    new_id[rest] = np.arange(len(rest))
+    targets = new_id[_rows(indptr, indices, rest)]
+    sub_indptr = np.zeros(len(rest) + 1, np.int64)
+    np.cumsum(deg[rest], out=sub_indptr[1:])
+    return sub_indptr, targets[targets >= 0]
+
+
+def _matula_beck(indptr: np.ndarray,
+                 indices: np.ndarray) -> tuple[np.ndarray, int]:
+    """Greedy minimum-residual-degree order of a CSR, and the degeneracy.
 
     Repeatedly removes a vertex of smallest remaining degree and records
-    the largest degree seen at removal time (the degeneracy).  Uses the
-    Matula-Beck bucket queue: one bucket per degree, a vertex is pushed
-    again whenever its degree drops and stale entries are skipped on pop,
-    so the cost is O(n + m).  Ties are broken deterministically: each
-    bucket is a stack filled in ascending id.  Isolated vertices are what
-    bucket 0 pops first, in descending id, so they are placed in one
-    numpy step and only the other vertices pass through the buckets.
+    the largest degree seen at removal time.  Uses the Matula-Beck bucket
+    queue: one bucket per degree, a vertex is pushed again whenever its
+    degree drops and stale entries are skipped on pop, so the cost is
+    O(n + m).  Ties are broken deterministically: each bucket is a stack
+    filled in ascending id.  Isolated vertices are what bucket 0 pops
+    first, in descending id, so they are placed in one numpy step and
+    only the other vertices pass through the buckets.
     """
-    n = g.n
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    degrees = np.diff(g.indptr)
+    degrees = np.diff(indptr)
+    n = len(degrees)
+    indptr, indices = indptr.tolist(), indices.tolist()
     order = np.flatnonzero(degrees == 0)[::-1].tolist()
     # A removed vertex's degree is set to -1, so its stale entries never
     # match the bucket they sit in.
@@ -190,7 +279,7 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
         # Removing v lowers each remaining degree by at most one.
         if d:
             d -= 1
-    return OrderingResult(tuple(order), degeneracy)
+    return np.fromiter(order, np.int64, len(order)), degeneracy
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,14 @@ for a given graph.
 
 Triangles and k-cliques read one degeneracy orientation
 (:func:`orient`): the ordering, then one sort of the arc keys into a CSR
-in positions.  Every k, triangles included, is one level-wise numpy
-scan over it, batched by ``_BATCH``.  Cliques are grouped by their
-earliest vertex in the degeneracy order, and within a group they follow
-the position of their later vertices.  4-cycles are grouped by their
-first vertex in decreasing-degree order.
+in positions.  The ordering peels the bulk of a graph in numpy rounds
+and hands a thin remainder to the Matula-Beck loop
+(:func:`~arbolist.core.degeneracy_ordering`).  Every k, triangles
+included, is one level-wise numpy scan over the orientation, batched by
+``_BATCH``.  Cliques are grouped by their earliest vertex in the
+degeneracy order, and within a group they follow the position of their
+later vertices.  4-cycles are grouped by their first vertex in
+decreasing-degree order.
 """
 
 from __future__ import annotations
@@ -149,8 +152,7 @@ def orient(g: Graph) -> Orientation:
     """Degeneracy orientation: every edge pointed from its earlier to its
     later endpoint in the degeneracy order, as one CSR in positions built
     with one sort of the arc keys."""
-    order = np.array(degeneracy_ordering(g).order, dtype=np.int64)
-    order.flags.writeable = False
+    order = degeneracy_ordering(g).array
     n = g.n
     pos = np.empty(n, np.int64)
     pos[order] = np.arange(n)
@@ -407,6 +409,9 @@ def list_kcliques(g: Graph | Orientation, k: int,
     Emission order: cliques are grouped by their earliest vertex in the
     orientation's order; within a group they follow the rows, which
     :func:`orient` keeps sorted by the position of the later vertices.
+    That order is :func:`~arbolist.core.degeneracy_ordering`'s: a bulk
+    peeling round places its vertices in ascending id, the Matula-Beck
+    tail pops the highest id among equal degrees first.
     """
     if k < 2:
         raise KTooSmallError(k)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from arbolist import (
+    core,
     ArbolistError,
     DuplicateEdgeError,
     SelfLoopError,
@@ -220,12 +221,70 @@ def _tuple_ordering(adj):
         "mostly-isolated"])
 def test_csr_graph_orders_and_lists_edges_as_the_tuple_graph(make):
     g = make()
+    _assert_core_ordering(g)
     adj = tuple(map(g.neighbors, range(g.n)))
-    order, degeneracy, later = _tuple_ordering(adj)
-    res = degeneracy_ordering(g)
-    assert ((res.order, res.degeneracy, out_lists(orient(g)))
-            == (order, degeneracy, later))
     assert list(g.edges()) == list(_tuple_edges(adj))
+
+
+def _assert_core_ordering(g):
+    """The ordering's contract: a permutation in which no vertex has more
+    than degeneracy-many later neighbours, the degeneracy of the
+    Matula-Beck reference and of networkx, the orientation built from
+    that order, and the reference's own order whenever the first
+    frontier of non-isolated vertices is thin."""
+    nx = pytest.importorskip("networkx")
+    adj = tuple(map(g.neighbors, range(g.n)))
+    ref_order, ref_degeneracy, _ = _tuple_ordering(adj)
+    res = degeneracy_ordering(g)
+    assert res.array.dtype == np.int64 and tuple(res.array) == res.order
+    assert sorted(res.order) == list(range(g.n))
+    position = [0] * g.n
+    for i, v in enumerate(res.order):
+        position[v] = i
+    later = [sorted((u for u in adj[v] if position[u] > position[v]),
+                    key=position.__getitem__) for v in range(g.n)]
+    assert max(map(len, later), default=0) == res.degeneracy
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    assert (res.degeneracy == ref_degeneracy
+            == max(nx.core_number(ng).values(), default=0))
+    assert out_lists(orient(g)) == later
+    degrees = [len(a) for a in adj if a]
+    if degrees.count(min(degrees, default=0)) < core._THIN:
+        assert res.order == ref_order
+
+
+@st.composite
+def threshold_graphs(draw):
+    """Disjoint unions of equal paths (each vertex with a pendant leaf,
+    if drawn), a star, a clique and isolated vertices under shuffled
+    ids, sized so the peel's frontiers fall on both sides of the
+    Matula-Beck threshold, n=0 included."""
+    size = st.integers(min_value=0, max_value=2 * core._THIN)
+    paths, length = draw(size), draw(st.integers(min_value=1, max_value=6))
+    hairy, leaves, isolated = draw(st.booleans()), draw(size), draw(size)
+    clique = draw(st.integers(min_value=0, max_value=12))
+    edges, n = [], 0
+    for _ in range(paths):
+        edges += [(n + i, n + i + 1) for i in range(length)]
+        if hairy:
+            edges += [(n + i, n + length + 1 + i) for i in range(length + 1)]
+        n += (length + 1) * (1 + hairy)
+    if leaves:
+        edges += [(n, n + i) for i in range(1, leaves + 1)]
+        n += leaves + 1
+    edges += [(n + i, n + j) for i, j in combinations(range(clique), 2)]
+    n += clique + isolated
+    ids = list(range(n))
+    draw(st.randoms(use_true_random=False)).shuffle(ids)
+    return from_edge_list([(ids[u], ids[v]) for u, v in edges], n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(threshold_graphs())
+def test_core_ordering_across_the_matula_beck_threshold(g):
+    _assert_core_ordering(g)
 
 
 def test_degeneracy_known_values():
