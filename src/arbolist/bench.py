@@ -100,7 +100,15 @@ def _drain(record) -> None:
     return None
 
 
-def c4_block_family(t: int, seed: int, base_q: int = 7) -> Graph:
+def _sweep(lister, algo: str, graphs) -> list[BenchRecord]:
+    """One row per (gen label, graph) pair, each graph listed by lister."""
+    return [_record(gen, g, algo, lister(g, _drain)) for gen, g in graphs]
+
+
+_C4_CORE_Q = 7
+
+
+def c4_block_family(t: int, seed: int) -> Graph:
     """Disjoint union of t four-cycle blocks and one 4-cycle-free core.
 
     Each block is a complete bipartite graph on 2+2 vertices and holds
@@ -111,7 +119,7 @@ def c4_block_family(t: int, seed: int, base_q: int = 7) -> Graph:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    core = polarity_graph(base_q)
+    core = polarity_graph(_C4_CORE_Q)
     n = core.n + 4 * t
     ids = list(range(core.n, n))
     random.Random(seed).shuffle(ids)
@@ -123,34 +131,23 @@ def c4_block_family(t: int, seed: int, base_q: int = 7) -> Graph:
 
 
 def suite_triangle_scaling(qs: tuple = (11, 23, 47)) -> list[BenchRecord]:
-    rows = []
-    for q in qs:
-        g = polarity_graph(q)
-        stats = list_triangles(g, _drain)
-        rows.append(_record(f"polarity q={q}", g, "triangle", stats))
-    return rows
+    return _sweep(list_triangles, "triangle",
+                  ((f"polarity q={q}", polarity_graph(q)) for q in qs))
 
 
 def suite_c4_delay(ts: tuple = (10 ** 3, 10 ** 4, 10 ** 5),
                    seed: int = 7) -> list[BenchRecord]:
-    rows = []
-    for t in ts:
-        g = c4_block_family(t, seed)
-        stats = list_4cycles(g, _drain)
-        rows.append(_record(f"c4blocks t={t} q=7 seed={seed}", g, "c4", stats))
-    return rows
+    return _sweep(list_4cycles, "c4",
+                  ((f"c4blocks t={t} q={_C4_CORE_Q} seed={seed}",
+                    c4_block_family(t, seed)) for t in ts))
 
 
 def suite_clique_scaling(ns: tuple = (300, 600, 1200), avg_deg: int = 10,
                          k: int = 4, seed: int = 11) -> list[BenchRecord]:
-    rows = []
-    for n in ns:
-        m = n * avg_deg // 2
-        g = random_gnm(n, m, seed)
-        stats = list_kcliques(g, k, _drain)
-        rows.append(_record(f"gnm n={n} m={m} seed={seed}", g,
-                            f"clique k={k}", stats))
-    return rows
+    sizes = ((n, n * avg_deg // 2) for n in ns)
+    return _sweep(lambda g, sink: list_kcliques(g, k, sink), f"clique k={k}",
+                  ((f"gnm n={n} m={m} seed={seed}", random_gnm(n, m, seed))
+                   for n, m in sizes))
 
 
 def suite_zeroclique(n_part: int = 40, s: int = 4, edge_prob: float = 0.5,
@@ -187,11 +184,13 @@ def suite_zeroclique(n_part: int = 40, s: int = 4, edge_prob: float = 0.5,
     return rows
 
 
-SUITES: dict[str, Callable[[], list[BenchRecord]]] = {
-    "triangle-scaling": suite_triangle_scaling,
-    "c4-delay": suite_c4_delay,
-    "clique-scaling": suite_clique_scaling,
-    "zeroclique": suite_zeroclique,
+# Each suite next to the arguments of its --small sweep.
+SUITES: dict[str, tuple[Callable[..., list[BenchRecord]], dict]] = {
+    "triangle-scaling": (suite_triangle_scaling, {"qs": (3, 5, 7)}),
+    "c4-delay": (suite_c4_delay, {"ts": (10, 100), "seed": 7}),
+    "clique-scaling": (suite_clique_scaling, {"ns": (30, 60), "avg_deg": 6}),
+    "zeroclique": (suite_zeroclique,
+                   {"n_part": 8, "instances": 2, "min_buckets": 1}),
 }
 
 
@@ -199,12 +198,5 @@ def run_suite(name: str, small: bool = False) -> list[BenchRecord]:
     """Run one named suite; small=True shrinks sweeps for smoke tests."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    if not small:
-        return SUITES[name]()
-    if name == "triangle-scaling":
-        return suite_triangle_scaling(qs=(3, 5, 7))
-    if name == "c4-delay":
-        return suite_c4_delay(ts=(10, 100), seed=7)
-    if name == "clique-scaling":
-        return suite_clique_scaling(ns=(30, 60), avg_deg=6)
-    return suite_zeroclique(n_part=8, instances=2, min_buckets=1)
+    suite, small_args = SUITES[name]
+    return suite(**small_args) if small else suite()

@@ -65,33 +65,40 @@ def _kind(kind: str, k: Optional[int], n: int):
             f"K{k}" + " %d" * min(k, n) + "\n")
 
 
+def _families() -> dict:
+    """Each gen family: its generator and its options in call order.
+
+    An option is (name, type, default), or (name, type) when it is
+    required; a bool option is a flag.  Built when a command runs, as
+    _kind is, so a generator rebound in this module is the one called.
+    """
+    seed = ("seed", int, 0)
+    return {
+        "polarity": (polarity_graph, [("q", int)]),
+        "gnm": (random_gnm, [("n", int), ("m", int), seed]),
+        "kpartite": (random_kpartite, [("k", int), ("n_part", int),
+                                       ("edge_prob", float, 0.5), seed]),
+        "sparse-triangle": (sparse_triangle_instance,
+                            [("n_param", int), ("sigma", float), seed]),
+        "zero-clique": (random_weighted_kpartite,
+                        [("k", int), ("n_part", int),
+                         ("edge_prob", float, 0.5), ("weight_bound", int, 50),
+                         seed, ("planted", bool, False)]),
+    }
+
+
 def cmd_gen(args) -> int:
-    if args.family == "polarity":
-        g = polarity_graph(args.q)
-        comment = f"polarity q={args.q}"
-    elif args.family == "gnm":
-        g = random_gnm(args.n, args.m, args.seed)
-        comment = f"gnm n={args.n} m={args.m} seed={args.seed}"
-    elif args.family == "kpartite":
-        g = random_kpartite(args.k, args.n_part, args.edge_prob, args.seed)
-        comment = (f"kpartite k={args.k} n_part={args.n_part} "
-                   f"edge_prob={args.edge_prob} seed={args.seed}")
-    elif args.family == "sparse-triangle":
-        g = sparse_triangle_instance(args.n_param, args.sigma, args.seed)
-        comment = (f"sparse-triangle n_param={args.n_param} "
-                   f"sigma={args.sigma} seed={args.seed}")
+    generator, options = _families()[args.family]
+    names = [name for name, *_ in options]
+    values = [getattr(args, name) for name in names]
+    g = generator(*values)
+    comment = " ".join([args.family] + [f"{name}={value}" for name, value
+                                        in zip(names, values)])
+    if args.family == "zero-clique":
+        graphio.write_weighted_kpartite(args.out, g, generator_comment=comment)
+        g = g.base
     else:
-        wg = random_weighted_kpartite(args.k, args.n_part, args.edge_prob,
-                                      args.weight_bound, args.seed,
-                                      planted=args.planted)
-        comment = (f"zero-clique k={args.k} n_part={args.n_part} "
-                   f"edge_prob={args.edge_prob} weight_bound={args.weight_bound} "
-                   f"seed={args.seed} planted={args.planted}")
-        graphio.write_weighted_kpartite(args.out, wg,
-                                        generator_comment=comment)
-        print(f"wrote {args.out} ({wg.base.n} vertices, {wg.base.m} edges)")
-        return EXIT_OK
-    graphio.write_edge_list(args.out, g, generator_comment=comment)
+        graphio.write_edge_list(args.out, g, generator_comment=comment)
     print(f"wrote {args.out} ({g.n} vertices, {g.m} edges)")
     return EXIT_OK
 
@@ -147,9 +154,8 @@ def cmd_solve(args) -> int:
     if args.s is not None:
         s = args.s
     else:
-        epsilon = args.epsilon if args.epsilon is not None else 0.5
         largest = max(len(part) for part in wg.parts())
-        s = choose_s(largest, args.k, epsilon)
+        s = choose_s(largest, args.k, args.epsilon)
     report = solve_zero_kclique(wg, args.k, s, args.seed)
     print(f"p={report.p}")
     print(f"s={report.s}")
@@ -185,33 +191,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="write a generated graph to disk")
+    p_gen.set_defaults(run=cmd_gen)
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    g_pol = gen_sub.add_parser("polarity")
-    g_pol.add_argument("--q", type=int, required=True)
-    g_gnm = gen_sub.add_parser("gnm")
-    g_gnm.add_argument("--n", type=int, required=True)
-    g_gnm.add_argument("--m", type=int, required=True)
-    g_gnm.add_argument("--seed", type=int, default=0)
-    g_kp = gen_sub.add_parser("kpartite")
-    g_kp.add_argument("--k", type=int, required=True)
-    g_kp.add_argument("--n-part", type=int, required=True)
-    g_kp.add_argument("--edge-prob", type=float, default=0.5)
-    g_kp.add_argument("--seed", type=int, default=0)
-    g_sp = gen_sub.add_parser("sparse-triangle")
-    g_sp.add_argument("--n-param", type=int, required=True)
-    g_sp.add_argument("--sigma", type=float, required=True)
-    g_sp.add_argument("--seed", type=int, default=0)
-    g_zc = gen_sub.add_parser("zero-clique")
-    g_zc.add_argument("--k", type=int, required=True)
-    g_zc.add_argument("--n-part", type=int, required=True)
-    g_zc.add_argument("--edge-prob", type=float, default=0.5)
-    g_zc.add_argument("--weight-bound", type=int, default=50)
-    g_zc.add_argument("--seed", type=int, default=0)
-    g_zc.add_argument("--planted", action="store_true")
-    for sp in (g_pol, g_gnm, g_kp, g_sp, g_zc):
+    for family, (_, options) in _families().items():
+        sp = gen_sub.add_parser(family)
+        for name, kind, *default in options:
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                sp.add_argument(flag, action="store_true")
+            elif default:
+                sp.add_argument(flag, type=kind, default=default[0])
+            else:
+                sp.add_argument(flag, type=kind, required=True)
         sp.add_argument("--out", required=True)
 
     p_list = sub.add_parser("list", help="stream subgraph records")
+    p_list.set_defaults(run=cmd_list)
     p_list.add_argument("--input", required=True)
     p_list.add_argument("--kind", choices=("triangle", "c4", "clique"),
                         required=True)
@@ -220,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify",
                               help="check a lister against the oracle")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--input", required=True)
     p_verify.add_argument("--kind", choices=("triangle", "c4", "clique"),
                           required=True)
@@ -227,14 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve-zero-clique",
                              help="search for a zero-weight clique")
+    p_solve.set_defaults(run=cmd_solve)
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--k", type=int, required=True)
     group = p_solve.add_mutually_exclusive_group()
     group.add_argument("--s", type=int)
-    group.add_argument("--epsilon", type=float)
+    group.add_argument("--epsilon", type=float, default=0.5)
     p_solve.add_argument("--seed", type=int, default=0)
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite")
+    p_bench.set_defaults(run=cmd_bench)
     p_bench.add_argument("--suite", choices=sorted(bench_mod.SUITES),
                          required=True)
     p_bench.add_argument("--output", required=True)
@@ -242,18 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_deg = sub.add_parser("degeneracy",
                            help="print the degeneracy of a graph")
+    p_deg.set_defaults(run=cmd_degeneracy)
     p_deg.add_argument("--input", required=True)
     return parser
-
-
-_DISPATCH = {
-    "gen": cmd_gen,
-    "list": cmd_list,
-    "verify": cmd_verify,
-    "solve-zero-clique": cmd_solve,
-    "bench": cmd_bench,
-    "degeneracy": cmd_degeneracy,
-}
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -266,11 +255,8 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _DISPATCH[args.command](args)
-    except ArbolistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+        return args.run(args)
+    except (ArbolistError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

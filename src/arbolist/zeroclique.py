@@ -166,12 +166,11 @@ class IntervalPartition:
     The last interval may be shorter.  When the requested s would leave
     empty trailing intervals (possible since lengths round up), s is
     reduced to the number of nonempty intervals and the reduction is
-    reported through ``requested_s`` and a log line.
+    reported through a log line.
     """
 
     p: int
     s: int
-    requested_s: int
     length: int
     bounds: tuple[tuple[int, int], ...]
 
@@ -191,8 +190,7 @@ def partition_intervals(p: int, s: int) -> IntervalPartition:
                  s, actual, p)
     bounds = tuple((i * length, min((i + 1) * length, p))
                    for i in range(actual))
-    return IntervalPartition(p=p, s=actual, requested_s=s, length=length,
-                             bounds=bounds)
+    return IntervalPartition(p=p, s=actual, length=length, bounds=bounds)
 
 
 BucketKey = tuple  # one interval index per part pair, in pair_order() order
@@ -289,8 +287,8 @@ def choose_s(n: int, k: int, epsilon: float) -> int:
         raise BadEpsilonError(epsilon)
     if k < 3:
         raise ValueError(f"k={k} must be at least 3")
-    if n < 2:
-        raise ValueError(f"n={n} must be at least 2")
+    if n < 1:
+        raise ValueError(f"n={n} must be at least 1")
     exponent = 2.0 * epsilon / (k * k - 3 * k + 2)
     return max(1, round(n ** exponent))
 

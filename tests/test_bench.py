@@ -8,6 +8,7 @@ from arbolist.bench import (
     read_csv,
     run_suite,
     suite_c4_delay,
+    suite_clique_scaling,
     suite_triangle_scaling,
     suite_zeroclique,
     write_csv,
@@ -77,3 +78,17 @@ def test_suites_small_smoke():
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite("no-such-suite")
+
+
+@pytest.mark.parametrize("name, suite", [
+    ("triangle-scaling", lambda: suite_triangle_scaling(qs=(3, 5, 7))),
+    ("c4-delay", lambda: suite_c4_delay(ts=(10, 100), seed=7)),
+    ("clique-scaling", lambda: suite_clique_scaling(ns=(30, 60), avg_deg=6)),
+    ("zeroclique",
+     lambda: suite_zeroclique(n_part=8, instances=2, min_buckets=1)),
+])
+def test_run_suite_small_is_the_suite_on_its_small_arguments(name, suite):
+    def untimed(rows):
+        return [(r.gen, r.n, r.m, r.alpha_proxy, r.algo, r.count, r.steps)
+                for r in rows]
+    assert untimed(run_suite(name, small=True)) == untimed(suite())

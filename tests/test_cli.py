@@ -54,6 +54,34 @@ def test_gen_gnm_deterministic(tmp_path, capsys):
         assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("argv, comment, header, n, m", [
+    (["polarity", "--q", "5"], "polarity q=5", "n=31", 31, 90),
+    (["gnm", "--n", "30", "--m", "80"], "gnm n=30 m=80 seed=0", "n=30", 30,
+     80),
+    (["kpartite", "--k", "3", "--n-part", "5", "--edge-prob", "0.4",
+      "--seed", "2"], "kpartite k=3 n_part=5 edge_prob=0.4 seed=2", "n=15",
+     15, 23),
+    (["sparse-triangle", "--n-param", "500", "--sigma", "0.25"],
+     "sparse-triangle n_param=500 sigma=0.25 seed=0", "n=105", 105, 187),
+    (["zero-clique", "--k", "3", "--n-part", "6", "--seed", "4"],
+     "zero-clique k=3 n_part=6 edge_prob=0.5 weight_bound=50 seed=4 "
+     "planted=False", "n=18 k=3", 18, 61),
+    (["zero-clique", "--k", "3", "--n-part", "6", "--seed", "4",
+      "--planted"],
+     "zero-clique k=3 n_part=6 edge_prob=0.5 weight_bound=50 seed=4 "
+     "planted=True", "n=18 k=3", 18, 62),
+])
+def test_gen_writes_its_options_in_the_comment_line(tmp_path, capsys, argv,
+                                                     comment, header, n, m):
+    path = str(tmp_path / "g.txt")
+    code, out, _ = run(capsys, "gen", *argv, "--out", path)
+    assert code == 0
+    assert out == f"wrote {path} ({n} vertices, {m} edges)\n"
+    with open(path) as fh:
+        assert [fh.readline(), fh.readline()] == [f"# {comment}\n",
+                                                  f"# {header}\n"]
+
+
 def test_list_triangles_on_k4(tmp_path, capsys):
     path = tmp_path / "k4.txt"
     path.write_text("# n=4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
@@ -356,6 +384,16 @@ def test_solve_zero_clique_epsilon_path(tmp_path, capsys):
     assert code == 0
     assert "buckets_examined=" in out
     assert "found=" in out
+
+
+def test_solve_default_epsilon_takes_one_vertex_parts(tmp_path, capsys):
+    path = str(tmp_path / "zc.txt")
+    run(capsys, "gen", "zero-clique", "--k", "3", "--n-part", "1",
+        "--out", path)
+    code, out, err = run(capsys, "solve-zero-clique", "--input", path,
+                         "--k", "3")
+    assert (code, err) == (0, "")
+    assert "s=1\n" in out and "found=False\n" in out
 
 
 def test_bench_suite_writes_csv(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import logging
 import random
 from itertools import combinations, product
 
@@ -118,9 +119,10 @@ def test_partition_examples():
     assert all(b - a == 1 for a, b in sevens.bounds)
 
 
-def test_partition_reduces_s_when_trailing_empty():
-    part = partition_intervals(10, 7)
-    assert part.requested_s == 7
+def test_partition_reduces_s_when_trailing_empty(caplog):
+    with caplog.at_level(logging.INFO, logger="arbolist.zeroclique"):
+        part = partition_intervals(10, 7)
+    assert "reduced s from 7 to 5" in caplog.text
     assert part.s == 5
     assert part.bounds[-1] == (8, 10)
 
@@ -497,6 +499,12 @@ def test_choose_s_examples():
     assert choose_s(10 ** 4, 3, 0.2) == 6
     assert choose_s(256, 4, 0.3) == 2
     assert choose_s(10 ** 4, 3, 0.01) == 1
+    assert choose_s(1, 3, 0.5) == 1
+
+
+def test_choose_s_rejects_empty_parts():
+    with pytest.raises(ValueError):
+        choose_s(0, 3, 0.5)
 
 
 def test_choose_s_rejects_bad_epsilon():
