@@ -1,7 +1,7 @@
 """Command line front end.
 
-Subcommands: gen, list, verify, solve-zero-clique, bench.  Record lines
-are "T a b c", "C4 a b c d", "K<k> v1 ... vk"; counts print as
+Subcommands: gen, list, verify, solve-zero-clique, bench, degeneracy.
+Record lines are "T a b c", "C4 a b c d", "K<k> v1 ... vk"; counts print as
 "COUNT <kind> <value>"; every listing run ends with
 "STATS pre=<s> emit=<s> count=<t> steps=<c> load=<s>", where load is the
 time to read the input file into a graph.  Exit codes: 0 success,

@@ -5,10 +5,12 @@ Format: one edge per line as "u v" (or "u v w" for weighted graphs),
 comment "# n=<N> k=<K>" pins the vertex count (and part count for
 weighted k-partite files); without it n is max vertex id + 1.  Part
 labels live in a sibling file "<path>.labels" with one integer per line,
-one line per vertex, each read like a vertex id.  Every fault names its
-file and line; only a missing labels file and a wrong label count, faults
-of the whole file, name line 0.  Writers emit no timestamps, so rerunning
-a generator produces byte-identical files.
+one line per vertex, each read like a vertex id.  Fields follow ``int()``
+syntax.  numpy's ``loadtxt`` converts the data rows; a file it refuses is
+read line by line with ``int()``, which names the first faulty line.
+Every fault names its file and line; only a missing labels file and a
+wrong label count, faults of the whole file, name line 0.  Writers emit
+no timestamps, so rerunning a generator produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -61,34 +63,27 @@ def _rows(path: PathLike, stripped: list[str], want: int, limit: int):
     first two fields (one, for a one-field file) as an int64 array of ids
     in [0, limit) and, for a three-field file, the third as Python ints.
 
-    The rows are checked and converted in bulk; only a file that fails
-    is walked row by row, to name the first faulty line.
+    numpy's reader converts the rows.  A file it refuses, or whose rows
+    it reads with the wrong width or an id out of range, is read again
+    by ``_walk``, which names the first faulty line or, for the forms
+    only ``int()`` reads (``1_000``, weights beyond int64), returns the
+    rows.  A file with no data rows goes straight to the walk, since
+    numpy warns on it.
     """
     linenos = [i for i, line in enumerate(stripped, 1)
                if line and line[0] != "#"]
     data = [stripped[i - 1] for i in linenos]
-    parsed = _bulk(data, want, limit)
-    if parsed is None:
-        raise _first_fault(path, linenos, data, want, limit)
-    ids, weights = parsed
-    return np.array(linenos), ids, weights
-
-
-def _bulk(data: list[str], want: int, limit: int):
-    """Ids and weights of the data lines, or None if one is faulty."""
-    if not set(map(len, map(str.split, data))) <= {want}:
-        return None
-    tokens = " ".join(data).split()
-    columns = [tokens[j::want] for j in range(want)]
-    del tokens
     try:
-        ids = np.array(columns[:2], dtype=np.int64).T
-        weights = list(map(int, columns[2])) if want == 3 else None
-    except (ValueError, OverflowError):
-        return None
-    if len(ids) and (ids.min() < 0 or ids.max() >= limit):
-        return None
-    return ids, weights
+        rows = (np.loadtxt(data, np.int64, comments=None, ndmin=2)
+                if data else None)
+    except ValueError:
+        rows = None
+    if (rows is None or rows.shape[1] != want
+            or rows[:, :2].min() < 0 or rows[:, :2].max() >= limit):
+        rows = np.array(_walk(path, linenos, data, want, limit),
+                        object).reshape(-1, want)
+    weights = rows[:, 2].tolist() if want == 3 else None
+    return linenos, rows[:, :2].astype(np.int64, copy=False), weights
 
 
 def _header(path: PathLike, stripped: list[str], weighted: bool):
@@ -110,26 +105,29 @@ def _header(path: PathLike, stripped: list[str], weighted: bool):
     return None, None
 
 
-def _first_fault(path: PathLike, linenos, data, want: int,
-                 limit: int) -> ParseError:
-    """The error of the first data line that fails a check, line by line."""
+def _walk(path: PathLike, linenos, data, want: int, limit: int):
+    """The data lines read one at a time with ``int()``: their rows as
+    lists of Python ints, or the ParseError of the first faulty line."""
     noun = "label" if want == 1 else "vertex id"
+    rows = []
     for lineno, line in zip(linenos, data):
         fields = line.split()
         if len(fields) != want:
-            return ParseError(path, lineno,
-                              f"expected {want} fields, got {len(fields)}")
+            raise ParseError(path, lineno,
+                             f"expected {want} fields, got {len(fields)}")
         try:
             row = [int(f) for f in fields]
         except ValueError:
-            return ParseError(path, lineno, f"non-integer field in {line!r}")
+            raise ParseError(path, lineno,
+                             f"non-integer field in {line!r}") from None
         if min(row[:2]) < 0:
-            return ParseError(path, lineno, f"negative {noun}")
+            raise ParseError(path, lineno, f"negative {noun}")
         if max(row[:2]) >= limit:
             shown = "2**31" if limit == ID_LIMIT else limit
-            return ParseError(path, lineno, f"{noun} {max(row[:2])} "
-                                            f"is not below {shown}")
-    raise AssertionError("the bulk parse rejected a file with no faulty line")
+            raise ParseError(path, lineno, f"{noun} {max(row[:2])} "
+                                           f"is not below {shown}")
+        rows.append(row)
+    return rows
 
 
 def read_labels(path: PathLike, below: Optional[int] = None) -> dict[int, int]:
@@ -172,7 +170,7 @@ def _build(path: PathLike, linenos, ids, n: int,
     try:
         return from_edge_list(ids, n, labels)
     except (DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError) as exc:
-        raise ParseError(path, int(linenos[exc.index]), str(exc))
+        raise ParseError(path, linenos[exc.index], str(exc))
 
 
 def read_weighted_kpartite(path: PathLike,
@@ -198,7 +196,7 @@ def read_weighted_kpartite(path: PathLike,
     same = part[:, 0] == part[:, 1]
     if same.any():
         i = int(same.argmax())
-        raise ParseError(path, int(linenos[i]),
+        raise ParseError(path, linenos[i],
                          f"edge {tuple(ids[i].tolist())} lies within "
                          f"part {part[i, 0]}")
     weights = dict(zip(map(tuple, np.sort(ids, axis=1).tolist()), row_weights))
@@ -207,7 +205,7 @@ def read_weighted_kpartite(path: PathLike,
     limit = max_weight(k)
     if bound > limit:
         i = next(i for i, w in enumerate(row_weights) if abs(w) > limit)
-        raise ParseError(path, int(linenos[i]),
+        raise ParseError(path, linenos[i],
                          f"weight {row_weights[i]} is beyond the solver's "
                          f"limit {limit} for k={k}")
     return wg

@@ -209,6 +209,15 @@ def test_list_reader_closing_the_pipe_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def test_list_on_a_header_only_file_is_quiet(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("# n=4\n")
+    code, out, err = run(capsys, "list", "--input", str(path),
+                         "--kind", "triangle")
+    assert (code, err) == (0, "")
+    assert "count=0" in out.splitlines()[-1]
+
+
 def test_list_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("0 x\n")

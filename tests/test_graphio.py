@@ -1,5 +1,6 @@
 import re
 import tempfile
+import warnings
 from itertools import combinations
 from pathlib import Path
 from time import perf_counter
@@ -21,6 +22,8 @@ from arbolist.graphio import (
     write_edge_list,
     write_weighted_kpartite,
 )
+
+from arbolist.zeroclique import max_weight
 
 from .conftest import complete, small_graphs
 
@@ -134,8 +137,9 @@ _REFERENCE_HEADER = re.compile(r"#\s*n=(\d+)(?:\s+k=(\d+))?\s*$")
 
 
 def _line_by_line(path):
-    """(line, message) of the first fault a loader finds that reads one
-    line at a time and adds each pair in turn, or None."""
+    """What a loader finds that reads one line at a time and adds each
+    pair in turn: the (line, message) of the first fault and None, or
+    None and the n and edge set it read."""
     header_n, rows = None, []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -149,15 +153,16 @@ def _line_by_line(path):
                 continue
             fields = line.split()
             if len(fields) != 2:
-                return lineno, f"expected 2 fields, got {len(fields)}"
+                return (lineno, f"expected 2 fields, got {len(fields)}"), None
             try:
                 u, v = (int(f) for f in fields)
             except ValueError:
-                return lineno, f"non-integer field in {line!r}"
+                return (lineno, f"non-integer field in {line!r}"), None
             if u < 0 or v < 0:
-                return lineno, "negative vertex id"
+                return (lineno, "negative vertex id"), None
             if max(u, v) >= ID_LIMIT:
-                return lineno, f"vertex id {max(u, v)} is not below 2**31"
+                return (lineno,
+                        f"vertex id {max(u, v)} is not below 2**31"), None
             rows.append((lineno, u, v))
     n = header_n
     if n is None:
@@ -166,13 +171,13 @@ def _line_by_line(path):
     for lineno, u, v in rows:
         for x in (u, v):
             if not x < n:
-                return lineno, f"vertex {x} out of range for n={n}"
+                return (lineno, f"vertex {x} out of range for n={n}"), None
         if u == v:
-            return lineno, f"self loop at vertex {u}"
+            return (lineno, f"self loop at vertex {u}"), None
         if (min(u, v), max(u, v)) in seen:
-            return lineno, f"duplicate edge ({u}, {v})"
+            return (lineno, f"duplicate edge ({u}, {v})"), None
         seen.add((min(u, v), max(u, v)))
-    return None
+    return None, (n, seen)
 
 
 _LINES = st.one_of(
@@ -181,7 +186,7 @@ _LINES = st.one_of(
     st.sampled_from(["", "   ", "# a comment", "  # indented comment",
                      "# n=8", "# n=5", "\t3\t4 ", "0 1 2", "7", "x 1",
                      "-1 2", "+2 0", "2 2147483648", "1 3\x0c", "4\r5",
-                     "6 5\r"]),
+                     "6 5\r", "0_3 1_0"]),
 )
 
 
@@ -191,10 +196,10 @@ _LINES = st.one_of(
 def test_error_line_matches_a_line_by_line_reader(tmp_path, lines):
     p = _fresh(tmp_path, "g.txt")
     p.write_text("\n".join(lines) + "\n")
-    expected = _line_by_line(p)
+    expected, graph = _line_by_line(p)
     if expected is None:
         g = read_edge_list(p)
-        assert g.m == len(g.edge_set())
+        assert (g.n, g.edge_set()) == graph
         return
     with pytest.raises(ParseError) as err:
         read_edge_list(p)
@@ -283,6 +288,46 @@ def test_weighted_round_trip(tmp_path):
     assert back.base.edge_set() == wg.base.edge_set()
     assert back.weights == wg.weights
     assert back.weight_bound == max(abs(w) for w in wg.weights.values())
+
+
+@pytest.mark.parametrize("ten", ["10", "1_0"])
+@pytest.mark.parametrize("last", [-5, 2 ** 63, -(2 ** 63) - 1])
+def test_weights_around_int64_load_as_written(tmp_path, ten, last):
+    """Weights at both int64 ends load exactly, and so do those beyond it
+    that the solver takes, also on rows with ``1_000``-style ids."""
+    written = {(0, 1): 2 ** 63 - 1, (2, 10): -(2 ** 63), (3, 11): 7,
+               (4, 5): last}
+    assert max(map(abs, written.values())) <= max_weight(3)
+    p = tmp_path / "w.txt"
+    p.write_text(f"# n=12 k=3\n0 1 {2 ** 63 - 1}\n{ten} 2 {-(2 ** 63)}\n"
+                 f"3 11 7\n4 5 {last}\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n2\n" * 4)
+    wg = read_weighted_kpartite(p)
+    assert wg.weights == written
+    assert all(type(w) is int for w in wg.weights.values())
+    assert wg.weight_bound == max(map(abs, written.values()))
+
+
+@pytest.mark.parametrize("text, n", [("# n=5\n", 5),
+                                     ("# a comment\n\n  # another\n", 0)],
+                         ids=["header-only", "comments-only"])
+def test_edge_file_without_rows_loads_without_warning(tmp_path, text, n):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = read_edge_list(p)
+    assert (g.n, g.m) == (n, 0)
+
+
+def test_weighted_file_without_rows_loads_without_warning(tmp_path):
+    p = tmp_path / "w.txt"
+    p.write_text("# n=3 k=3\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wg = read_weighted_kpartite(p)
+    assert (wg.k, wg.base.m, wg.weights, wg.weight_bound) == (3, 0, {}, 0)
 
 
 def test_weight_beyond_the_solvers_range_fails_at_its_line(tmp_path):
