@@ -16,6 +16,7 @@ no timestamps, so rerunning a generator produces byte-identical files.
 from __future__ import annotations
 
 import re
+import warnings
 from pathlib import Path
 from typing import Optional, Union
 
@@ -54,8 +55,7 @@ def _parse(path: PathLike, weighted: bool):
 
 
 def _lines(path: PathLike) -> list[str]:
-    with open(path, "r", encoding="ascii") as fh:
-        return list(map(str.strip, fh.read().split("\n")))
+    return list(map(str.strip, Path(path).read_text("ascii").split("\n")))
 
 
 def _rows(path: PathLike, stripped: list[str], want: int, limit: int):
@@ -63,20 +63,21 @@ def _rows(path: PathLike, stripped: list[str], want: int, limit: int):
     first two fields (one, for a one-field file) as an int64 array of ids
     in [0, limit) and, for a three-field file, the third as Python ints.
 
-    numpy's reader converts the rows.  A file it refuses, or whose rows
-    it reads with the wrong width or an id out of range, is read again
-    by ``_walk``, which names the first faulty line or, for the forms
-    only ``int()`` reads (``1_000``, weights beyond int64), returns the
-    rows.  A file with no data rows goes straight to the walk, since
-    numpy warns on it.
+    numpy's reader converts the rows.  A file it refuses or warns on (no
+    data rows; on numpy 1.23-1.26, a field it read as a float and cast),
+    or whose rows it reads with the wrong width or an id out of range,
+    is read again by ``_walk``, which names the first faulty line or, for
+    the forms only ``int()`` reads (``1_000``, weights beyond int64),
+    returns the rows.
     """
     linenos = [i for i, line in enumerate(stripped, 1)
                if line and line[0] != "#"]
     data = [stripped[i - 1] for i in linenos]
     try:
-        rows = (np.loadtxt(data, np.int64, comments=None, ndmin=2)
-                if data else None)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(data, np.int64, comments=None, ndmin=2)
+    except (ValueError, Warning):
         rows = None
     if (rows is None or rows.shape[1] != want
             or rows[:, :2].min() < 0 or rows[:, :2].max() >= limit):

@@ -6,6 +6,7 @@ from pathlib import Path
 from time import perf_counter
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -308,15 +309,54 @@ def test_weights_around_int64_load_as_written(tmp_path, ten, last):
     assert wg.weight_bound == max(map(abs, written.values()))
 
 
+def _loadtxt_via_float(real):
+    """numpy 1.23-1.26's ``loadtxt``: a field it cannot read as an integer
+    is read as a float and cast, with only a DeprecationWarning."""
+    def loadtxt(data, dtype, **kwargs):
+        try:
+            return real(data, dtype, **kwargs)
+        except ValueError:
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning, stacklevel=2)
+            with np.errstate(invalid="ignore"):
+                return real(data, np.float64, **kwargs).astype(dtype)
+    return loadtxt
+
+
+def test_a_loadtxt_that_reads_through_float_is_not_trusted(tmp_path,
+                                                           monkeypatch):
+    """Where numpy still reads integer fields through a float, the loader
+    neither takes 1.0 as an id nor casts 2**63 and 10**20 to int64, and
+    no warning escapes."""
+    monkeypatch.setattr(np, "loadtxt", _loadtxt_via_float(np.loadtxt))
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n1.0 2\n")
+    p = tmp_path / "w.txt"
+    p.write_text(f"# n=3 k=3\n0 1 {2 ** 63}\n1 2 {-10 ** 20}\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n2\n")
+    with pytest.warns(DeprecationWarning):
+        assert np.loadtxt(["0 1.5"], np.int64).tolist() == [0, 1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError) as err:
+            read_edge_list(edges)
+        wg = read_weighted_kpartite(p)
+    assert caught == []
+    assert err.value.lineno == 2
+    assert "non-integer field" in str(err.value)
+    assert wg.weights == {(0, 1): 2 ** 63, (1, 2): -10 ** 20}
+
+
 @pytest.mark.parametrize("text, n", [("# n=5\n", 5),
                                      ("# a comment\n\n  # another\n", 0)],
                          ids=["header-only", "comments-only"])
 def test_edge_file_without_rows_loads_without_warning(tmp_path, text, n):
     p = tmp_path / "g.txt"
     p.write_text(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         g = read_edge_list(p)
+    assert caught == []
     assert (g.n, g.m) == (n, 0)
 
 
@@ -324,9 +364,10 @@ def test_weighted_file_without_rows_loads_without_warning(tmp_path):
     p = tmp_path / "w.txt"
     p.write_text("# n=3 k=3\n")
     (tmp_path / "w.txt.labels").write_text("0\n1\n2\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         wg = read_weighted_kpartite(p)
+    assert caught == []
     assert (wg.k, wg.base.m, wg.weights, wg.weight_bound) == (3, 0, {}, 0)
 
 
