@@ -189,24 +189,27 @@ def _batches(cum: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _scan(g: Graph | Orientation, k: int, sink: Sink,
-          make: Callable[[list], Any]) -> EnumerationStats:
-    """Every k-clique, k >= 2, by a level-wise scan of ``g``'s orientation.
+def scan_cliques(o: Orientation, k: int,
+                 consume: Callable[[np.ndarray], int | None]
+                 ) -> tuple[int, int]:
+    """Every k-clique of ``o``, k >= 2, by a level-wise scan.
 
     A level holds j-cliques as rows of positions in lexicographic order,
     the first the arcs of rows with k - 1 or more arcs.  The extensions
     of row p1..pj are the w in out(pj) whose arcs pi->w all exist, one
     ``searchsorted`` per earlier column deciding a batch; a row with
     fewer than k - j of them is not extended.  A batch's extensions are
-    scanned before the next batch, so records come in lexicographic
-    order.  ``steps`` adds the row of every clique reached below level
-    k.  ``make`` turns an ascending id list into a record.
+    scanned before the next batch, so the k-cliques come in
+    lexicographic order of their positions, handed to ``consume`` a
+    batch of rows at a time.  ``consume`` returns the index of the row
+    it stopped at, or None to go on.  Returns the rows handed over up
+    to the stop (or all), and ``steps``: the row of every clique reached
+    below level k.
     """
-    o, t0, t1 = _oriented(g)
     n, ptr, col = o.n, o.indptr, o.indices
     out = ptr[1:] - ptr[:-1]
     if int(out.max(initial=0)) < k - 1:
-        return _finish(t0, t1, 0, o.m)
+        return 0, o.m
     src = np.repeat(np.arange(n), out)
     keys = src * n + col
     # Level 1 reaches every vertex, so steps starts at the m arcs.
@@ -218,14 +221,9 @@ def _scan(g: Graph | Orientation, k: int, sink: Sink,
         nonlocal steps, emitted
         j = rows.shape[1]
         if j == k:
-            for lo in range(0, len(rows), _BATCH):
-                cliques = o.order[rows[lo:lo + _BATCH]]
-                cliques.sort(1)
-                for at, ids in enumerate(cliques.tolist(), lo):
-                    emitted += 1
-                    if sink(make(ids)):
-                        return at
-            return None
+            at = consume(rows)
+            emitted += len(rows) if at is None else at + 1
+            return at
         cum = np.concatenate(([0], out[rows[:, -1]].cumsum()))
         steps += int(cum[-1])
         for lo, hi in _batches(cum):
@@ -263,7 +261,25 @@ def _scan(g: Graph | Orientation, k: int, sink: Sink,
     at = scan(rows)
     if at is not None:
         steps -= o.m - int(ptr[rows[at, 0] + 1])
-    return _finish(t0, t1, emitted, steps)
+    return emitted, steps
+
+
+def _list(g: Graph | Orientation, k: int, sink: Sink,
+          make: Callable[[list], Any]) -> EnumerationStats:
+    """Every k-clique of ``g`` into ``sink``, as ``make`` of its ascending
+    id list, in the order of :func:`scan_cliques`."""
+    o, t0, t1 = _oriented(g)
+
+    def emit(rows: np.ndarray) -> int | None:
+        for lo in range(0, len(rows), _BATCH):
+            cliques = o.order[rows[lo:lo + _BATCH]]
+            cliques.sort(1)
+            for at, ids in enumerate(cliques.tolist(), lo):
+                if sink(make(ids)):
+                    return at
+        return None
+
+    return _finish(t0, t1, *scan_cliques(o, k, emit))
 
 
 def list_triangles(g: Graph | Orientation, sink: Sink) -> EnumerationStats:
@@ -275,7 +291,7 @@ def list_triangles(g: Graph | Orientation, sink: Sink) -> EnumerationStats:
     :class:`Orientation`), ``emit_time`` the clique scan with the sink
     calls.
     """
-    return _scan(g, 3, sink, TriangleRecord._make)
+    return _list(g, 3, sink, TriangleRecord._make)
 
 
 def count_triangles(g: Graph) -> int:
@@ -415,7 +431,7 @@ def list_kcliques(g: Graph | Orientation, k: int,
     """
     if k < 2:
         raise KTooSmallError(k)
-    return _scan(g, k, sink, tuple)
+    return _list(g, k, sink, tuple)
 
 
 def count_kcliques(g: Graph, k: int) -> int:

@@ -4,9 +4,12 @@ The pipeline takes a k-partite edge-weighted graph, rehashes the weights
 so that the sum over any one-vertex-per-part clique is a fixed multiple
 of the original sum mod a prime p, partitions the residue range [0, p)
 into s intervals, and then only searches the few "admissible" interval
-combinations whose sumset can reach 0 mod p.  Every candidate clique
-found inside a bucket is re-verified against the original weights, so
-the answer is exact regardless of hash collisions.
+combinations (keys) whose sumset can reach 0 mod p.  The solver scans
+growing groups of consecutive keys, each over the base orientation
+restricted to the arcs its keys select, and stops in the first group
+that holds a zero clique.  Every clique of an admissible key is checked
+against the original weights, so the answer is exact regardless of hash
+collisions.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from time import perf_counter
 from typing import Iterator, Mapping, Optional
 
@@ -22,7 +25,7 @@ import numpy as np
 
 from .core import Graph, validate_kpartite
 from .errors import BadEpsilonError, BadModulusError, BadSError
-from .listing import CliqueRecord, Orientation, list_kcliques, orient
+from .listing import CliqueRecord, Orientation, orient, scan_cliques
 from .primes import EXACT_BELOW, is_prime, next_prime_above
 
 log = logging.getLogger(__name__)
@@ -174,8 +177,9 @@ class IntervalPartition:
     length: int
     bounds: tuple[tuple[int, int], ...]
 
-    def interval_of(self, value: int) -> int:
-        if not 0 <= value < self.p:
+    def interval_of(self, value):
+        """The interval index of ``value``, elementwise on an array."""
+        if not np.all((0 <= value) & (value < self.p)):
             raise ValueError(f"value {value} outside [0, {self.p})")
         return value // self.length
 
@@ -311,27 +315,48 @@ class SolveReport:
         return self.witness is not None
 
 
+# Keys per scan of the solve grow by this factor: 1, 8, 64, ...
+_GROWTH = 8
+
+
+def _dtype(bound: int):
+    """int64 when every magnitude is below ``bound`` <= 2**63, else object
+    (exact Python ints)."""
+    return np.int64 if bound <= 2 ** 63 else object
+
+
 def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
                        seed: int) -> SolveReport:
     """Find some one-vertex-per-part k-clique of total weight zero, if any.
 
     Chooses p as the smallest prime above max(k^2 * weight_bound, n),
-    hashes the weights, orients the base graph once (:func:`orient`),
-    indexes its edges once by part pair and hashed interval
-    (:func:`index_edges`), and walks the admissible bucket keys in
-    lexicographic order, listing the cliques of each bucket's
-    :class:`Orientation` assembled from that index.  ``extract_s``
-    counts the orientation, the index build and every bucket assembly;
-    ``search_s`` the bucket scans with their checks.  Within a bucket,
-    cliques come grouped by their earliest vertex in the base graph's
-    order.  Every listed clique is checked against the original weights,
-    and the first exact hit wins, so the search is deterministic for a
-    fixed seed.  A zero-sum clique always lands in the bucket determined
-    by its own hashed edge weights, and that key is admissible, so an
-    existing witness cannot be missed.
+    hashes the weights and orients the base graph once (:func:`orient`).
+    One pass over the arcs gives each its part-pair slot, hashed
+    interval and original weight, as arrays in arc-key order.  The
+    admissible keys are then taken in lexicographic order, in groups of
+    1, ``_GROWTH``, ``_GROWTH``**2, ... keys.  A group's orientation
+    keeps the base arcs whose (slot, interval) occurs in one of its
+    keys; once that is every arc, the group takes all remaining keys and
+    scans the base orientation itself.  Per scanned batch, the arcs of
+    each clique give its key, and the cliques whose key is in the group
+    have their weight sums checked exactly on the original weights.
 
-    Buckets are independent of each other and could be handed to
-    concurrent workers; this implementation walks them sequentially.
+    The witness is the zero clique of the lowest key rank, and within
+    that key the first in scan order: grouped by its earliest vertex in
+    the base order, then by the positions of its later vertices.  That
+    is the clique a walk of one bucket per key in lexicographic order
+    finds first, and ``buckets_examined`` and ``cliques_listed_total``
+    are what that walk reports: the witness's rank + 1 (all keys without
+    a witness), and the cliques of lower-ranked keys plus those of the
+    witness's key up to it.  A group's scan stops at the first zero
+    clique of its first key; otherwise the first group with a zero
+    clique is scanned to its end.  A zero-sum clique always carries the
+    key of its own hashed edge weights, and that key is admissible, so
+    an existing witness cannot be missed.
+
+    ``extract_s`` counts the orientation, the arc pass and every group's
+    key table and orientation; ``search_s`` the group scans with their
+    checks.
     """
     if k < 3:
         raise ValueError(f"k={k} must be at least 3")
@@ -346,30 +371,92 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     report = SolveReport(witness=None, p=p, s=partition.s)
     t1 = perf_counter()
     report.hash_s = t1 - t0
+
     oriented = orient(g.base)
-    index = index_edges(g, hashed, partition, oriented)
+    n, s, pairs = oriented.n, partition.s, pair_order(k)
+    # The arcs in key order, each with its slot, interval and weight;
+    # ``hashed`` follows the order of ``g.weights``.
+    ends = np.fromiter(chain.from_iterable(g.weights), np.int64,
+                       2 * len(g.weights)).reshape(-1, 2)
+    pos = np.empty(n, np.int64)
+    pos[oriented.order] = np.arange(n)
+    src, dst = pos[ends[:, 0]], pos[ends[:, 1]]
+    keys = np.minimum(src, dst) * n + np.maximum(src, dst)
+    by = keys.argsort()
+    keys = keys[by]
+    part = np.empty(n, np.int64)
+    slot_of = np.empty((k, k), np.int64)
+    for j, members in enumerate(g._parts):
+        part[members] = j
+    for i, (a, b) in enumerate(pairs):
+        slot_of[a, b] = slot_of[b, a] = i
+    slot = slot_of[part[ends[:, 0]], part[ends[:, 1]]][by]
+    interval = partition.interval_of(
+        np.fromiter(hashed.values(), _dtype(p)))[by].astype(np.int64)
+    weight = np.fromiter(g.weights.values(),
+                         _dtype(len(pairs) * g.weight_bound + 1))[by]
+    # A key's code in mixed radix s: lexicographic order is code order.
+    radix = np.array([s ** i for i in range(len(pairs) - 1, -1, -1)],
+                     _dtype(s ** len(pairs)))
+    place = interval * radix[slot]
+    # Column pairs of a clique's position row, whose arcs it holds.
+    first, second = np.array(pairs).T
     report.extract_s = perf_counter() - t1
 
-    for key in admissible_tuples(partition, k):
+    remaining = admissible_tuples(partition, k)
+    size, listed = 1, 0
+    while True:
         b0 = perf_counter()
-        bucket = extract_bucket(oriented, index, key)
-        b1 = perf_counter()
-        report.extract_s += b1 - b0
-        report.buckets_examined += 1
+        group = list(islice(remaining, size))
+        if not group:
+            break
+        table = np.array(group, np.int64)
+        allowed = np.zeros((len(pairs), s), bool)
+        allowed[np.arange(len(pairs)), table] = True
+        kept = allowed[slot, interval]
+        if kept.all():
+            group += remaining
+            table = np.array(group, np.int64)
+            selected = oriented
+        else:
+            selected = Orientation.from_keys(n, oriented.order, keys[kept])
+        codes = (table * radix).sum(1)
+        counts = np.zeros(len(group), np.int64)
+        # (rank in the group, its key's cliques up to it, its positions)
+        best: Optional[tuple[int, int, np.ndarray]] = None
 
-        hit: list[CliqueRecord] = []
-
-        def check(record: CliqueRecord):
-            total = sum(g.weight(u, v) for u, v in combinations(record, 2))
-            if total == 0:
-                hit.append(record)
-                return True
+        def consume(rows: np.ndarray) -> Optional[int]:
+            nonlocal best, counts
+            arcs = keys.searchsorted(rows[:, first] * n + rows[:, second])
+            code = place[arcs].sum(1)
+            rank = np.minimum(codes.searchsorted(code), len(codes) - 1)
+            at = np.flatnonzero(codes[rank] == code)
+            rank, arcs = rank[at], arcs[at]
+            zero = np.flatnonzero(weight[arcs].sum(1) == 0)
+            if len(zero):
+                i = zero[rank[zero].argmin()]
+                r = int(rank[i])
+                if best is None or r < best[0]:
+                    upto = int(counts[r]) + int((rank[:i + 1] == r).sum())
+                    best = r, upto, rows[at[i]]
+                    if r == 0:
+                        return int(at[i])
+            counts += np.bincount(rank, minlength=len(codes))
             return None
 
-        stats = list_kcliques(bucket, k, check)
+        b1 = perf_counter()
+        report.extract_s += b1 - b0
+        scan_cliques(selected, k, consume)
         report.search_s += perf_counter() - b1
-        report.cliques_listed_total += stats.emitted_count
-        if hit:
-            report.witness = hit[0]
-            break
+        if best is not None:
+            r, upto, row = best
+            report.witness = tuple(sorted(oriented.order[row].tolist()))
+            report.buckets_examined += r + 1
+            report.cliques_listed_total = (listed + int(counts[:r].sum())
+                                           + upto)
+            return report
+        report.buckets_examined += len(group)
+        listed += int(counts.sum())
+        size *= _GROWTH
+    report.cliques_listed_total = listed
     return report

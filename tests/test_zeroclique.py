@@ -2,6 +2,7 @@ import logging
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from arbolist import (
@@ -27,7 +28,7 @@ from arbolist import (
     sample_hash_params,
     solve_zero_kclique,
 )
-from arbolist import core, listing
+from arbolist import core, listing, zeroclique
 from arbolist.primes import next_prime_above
 from arbolist.zeroclique import max_weight
 
@@ -192,7 +193,8 @@ def test_admissible_count_bound():
 
 
 def _indexed(wg, hashed, part):
-    """The base orientation and the edge index, as the solver builds them."""
+    """The base orientation and its edge index, as the zeroclique bench
+    suite builds them."""
     oriented = orient(wg.base)
     return oriented, index_edges(wg, hashed, part, oriented)
 
@@ -339,6 +341,71 @@ def test_solver_matches_the_bucket_walk(k, n_part, s):
     assert outcomes == {False, True}
 
 
+def _group_starts(keys):
+    """Rank of the first key of each of the solver's groups of keys."""
+    starts, size = [0], 1
+    while starts[-1] + size < keys:
+        starts.append(starts[-1] + size)
+        size *= zeroclique._GROWTH
+    return starts
+
+
+@pytest.mark.parametrize("batch", [listing._BATCH, 3])
+@pytest.mark.parametrize("k, n_part, bound, planted, s, seed, case", [
+    # weights at max_weight(k): the weight sums are exact Python ints
+    (5, 3, max_weight(5), True, 2, 0, "full"),
+    (5, 3, max_weight(5), True, 2, 8, "past second"),
+    (5, 3, 5, False, 2, 0, "none"),
+    (3, 6, max_weight(3), True, 3, 5, "first key"),
+    (3, 8, 5, True, 4, 11, "first key"),
+    (3, 10, 5, False, 12, 6, "past second"),
+    # more zero cliques share the witness's key, in later batches
+    (3, 10, 3, False, 12, 8, "past second"),
+    (4, 5, 5, True, 2, 0, "full"),
+])
+def test_grouped_scans_match_the_bucket_walk(monkeypatch, k, n_part, bound,
+                                             planted, s, seed, case, batch):
+    """Each seeded instance pins one case of the grouped scans: a witness
+    past the second group boundary, one in a group whose arcs are every
+    arc, a stop on the first key of a group of several keys, or no
+    witness at all; the report equals the bucket walk's, also when the
+    scan hands its cliques over a few at a time."""
+    scans = []  # per scan: its arcs, and the row it stopped at
+
+    def spy(o, k, consume):
+        scans.append([o.m, None])
+
+        def watched(rows):
+            scans[-1][1] = consume(rows)
+            return scans[-1][1]
+
+        return listing.scan_cliques(o, k, watched)
+
+    monkeypatch.setattr(zeroclique, "scan_cliques", spy)
+    monkeypatch.setattr(listing, "_BATCH", batch)
+    wg = random_weighted_kpartite(k, n_part, 0.6, bound, seed,
+                                  planted=planted)
+    report = solve_zero_kclique(wg, k, s=s, seed=seed)
+    assert ((report.witness, report.buckets_examined,
+             report.cliques_listed_total)
+            == _reference_solve(wg, k, s, seed))
+    keys = sum(1 for _ in admissible_tuples(partition_intervals(report.p, s),
+                                            k))
+    starts = _group_starts(keys)
+    rank = report.buckets_examined - 1
+    arcs, stop = scans[-1]
+    assert (stop is not None) == (case == "first key")
+    if case == "none":
+        assert not report.found and report.buckets_examined == keys
+        assert arcs == wg.base.m
+    elif case == "full":
+        assert arcs == wg.base.m and rank >= starts[2]
+    elif case == "past second":
+        assert rank >= starts[2] and arcs < wg.base.m
+    else:
+        assert rank in starts[1:]
+
+
 def test_bucket_cliques_match_validated_graphs():
     """Cliques listed on a bucket's Orientation match a validated rebuild.
 
@@ -384,14 +451,14 @@ def test_solver_hashes_each_edge_into_an_interval_once(monkeypatch):
 
     def counted(self, value):
         nonlocal calls
-        calls += 1
+        calls += np.size(value)
         return interval_of(self, value)
 
     monkeypatch.setattr(IntervalPartition, "interval_of", counted)
     report = solve_zero_kclique(wg, 3, s=4, seed=3)
     assert not report.found
     assert report.buckets_examined == 48
-    assert 0 < calls <= wg.base.m
+    assert calls == wg.base.m
 
 
 def test_hash_uniformity_smoke():
