@@ -236,6 +236,40 @@ def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKe
 EdgeIndex = list  # index[slot][i]: sorted arc keys, see index_edges()
 
 
+def _dtype(bound: int):
+    """int64 when every magnitude is below ``bound`` <= 2**63, else object
+    (exact Python ints)."""
+    return np.int64 if bound <= 2 ** 63 else object
+
+
+def _arcs(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
+          partition: IntervalPartition, oriented: Orientation):
+    """The arcs of ``oriented = orient(g.base)`` in key order, as arrays
+    from one pass over the edges: their keys source * n + target in
+    positions, part-pair slots, hashed intervals and original weights
+    (int64 while C(k,2) weights sum below 2**63, exact ints above)."""
+    n, k = oriented.n, g.k
+    ends = np.fromiter(chain.from_iterable(g.weights), np.int64,
+                       2 * len(g.weights)).reshape(-1, 2)
+    pos = np.empty(n, np.int64)
+    pos[oriented.order] = np.arange(n)
+    src, dst = pos[ends[:, 0]], pos[ends[:, 1]]
+    keys = np.minimum(src, dst) * n + np.maximum(src, dst)
+    by = keys.argsort()
+    part = np.empty(n, np.int64)
+    for j, members in enumerate(g._parts):
+        part[members] = j
+    slot_of = np.empty((k, k), np.int64)
+    for i, (a, b) in enumerate(pair_order(k)):
+        slot_of[a, b] = slot_of[b, a] = i
+    slot = slot_of[part[ends[:, 0]], part[ends[:, 1]]]
+    interval = partition.interval_of(np.fromiter(
+        map(hashed.__getitem__, g.weights), _dtype(partition.p)))
+    weight = np.fromiter(g.weights.values(),
+                         _dtype(k * (k - 1) // 2 * g.weight_bound + 1))
+    return keys[by], slot[by], interval[by].astype(np.int64), weight[by]
+
+
 def index_edges(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
                 partition: IntervalPartition,
                 oriented: Orientation) -> EdgeIndex:
@@ -247,22 +281,14 @@ def index_edges(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
     target in positions.  One pass over the arcs; :func:`extract_bucket`
     assembles buckets from these arrays.
     """
-    pairs = pair_order(g.k)
-    slot = {}
-    for i, (a, b) in enumerate(pairs):
-        slot[a, b] = slot[b, a] = i
-    labels = g.base.part_label
-    assert labels is not None
-    interval_of = partition.interval_of
-    n, order = oriented.n, oriented.order.tolist()
-    index = [[[] for _ in range(partition.s)] for _ in pairs]
-    src = np.repeat(np.arange(n), np.diff(oriented.indptr))
-    # Arcs in key order, so every list comes out sorted.
-    for a, b in zip(src.tolist(), oriented.indices.tolist()):
-        u, v = order[a], order[b]
-        row = index[slot[labels[u], labels[v]]]
-        row[interval_of(hashed[edge_key(u, v)])].append(a * n + b)
-    return [[np.array(keys, dtype=np.int64) for keys in row] for row in index]
+    keys, slot, interval, _ = _arcs(g, hashed, partition, oriented)
+    s = partition.s
+    cell = slot * s + interval
+    # A stable sort keeps each cell's keys sorted.
+    by = cell.argsort(kind="stable")
+    cells = np.split(keys[by], cell[by].searchsorted(
+        np.arange(1, len(pair_order(g.k)) * s)))
+    return [cells[i:i + s] for i in range(0, len(cells), s)]
 
 
 def extract_bucket(oriented: Orientation, index: EdgeIndex,
@@ -319,12 +345,6 @@ class SolveReport:
 _GROWTH = 8
 
 
-def _dtype(bound: int):
-    """int64 when every magnitude is below ``bound`` <= 2**63, else object
-    (exact Python ints)."""
-    return np.int64 if bound <= 2 ** 63 else object
-
-
 def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
                        seed: int) -> SolveReport:
     """Find some one-vertex-per-part k-clique of total weight zero, if any.
@@ -373,28 +393,8 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     report.hash_s = t1 - t0
 
     oriented = orient(g.base)
+    keys, slot, interval, weight = _arcs(g, hashed, partition, oriented)
     n, s, pairs = oriented.n, partition.s, pair_order(k)
-    # The arcs in key order, each with its slot, interval and weight;
-    # ``hashed`` follows the order of ``g.weights``.
-    ends = np.fromiter(chain.from_iterable(g.weights), np.int64,
-                       2 * len(g.weights)).reshape(-1, 2)
-    pos = np.empty(n, np.int64)
-    pos[oriented.order] = np.arange(n)
-    src, dst = pos[ends[:, 0]], pos[ends[:, 1]]
-    keys = np.minimum(src, dst) * n + np.maximum(src, dst)
-    by = keys.argsort()
-    keys = keys[by]
-    part = np.empty(n, np.int64)
-    slot_of = np.empty((k, k), np.int64)
-    for j, members in enumerate(g._parts):
-        part[members] = j
-    for i, (a, b) in enumerate(pairs):
-        slot_of[a, b] = slot_of[b, a] = i
-    slot = slot_of[part[ends[:, 0]], part[ends[:, 1]]][by]
-    interval = partition.interval_of(
-        np.fromiter(hashed.values(), _dtype(p)))[by].astype(np.int64)
-    weight = np.fromiter(g.weights.values(),
-                         _dtype(len(pairs) * g.weight_bound + 1))[by]
     # A key's code in mixed radix s: lexicographic order is code order.
     radix = np.array([s ** i for i in range(len(pairs) - 1, -1, -1)],
                      _dtype(s ** len(pairs)))
