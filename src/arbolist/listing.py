@@ -16,13 +16,14 @@ included, is one level-wise numpy scan over the orientation, batched by
 ``_BATCH``.  Cliques are grouped by their earliest vertex in the
 degeneracy order, and within a group they follow the position of their
 later vertices.  4-cycles are grouped by their first vertex in
-decreasing-degree order.
+decreasing-degree order; a batch of wedges is grouped by one default
+sort of packed keys, and its pairs are built and canonicalised in
+arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from time import perf_counter
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -173,7 +174,8 @@ def _oriented(g: Graph | Orientation) -> tuple[Orientation, float, float]:
     return orient(g), t0, perf_counter()
 
 
-# Candidates per batch of the clique scan, wedges of the 4-cycle scan.
+# Candidates per batch of the clique scan, wedges and pairs of the
+# 4-cycle scan.
 _BATCH = 4096
 
 
@@ -315,6 +317,18 @@ def all_edge_sparse_triangle(g: Graph) -> dict[tuple[int, int], bool]:
     return answer
 
 
+def _stable_sort(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``key`` sorted, and the permutation that sorts it stably, from one
+    default (unstable, SIMD) sort of key * 2**b + index, b the bits of
+    len(key) - 1.  The packed values are unique and below
+    2 * (key.max() + 1) * len(key), which must fit in int64."""
+    bits = max(len(key) - 1, 1).bit_length()
+    packed = key << bits
+    packed |= np.arange(len(key))
+    packed.sort()
+    return packed >> bits, packed & ((1 << bits) - 1)
+
+
 def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
     """List every 4-cycle exactly once; two-hop scans cost O(m * degeneracy).
 
@@ -333,13 +347,18 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
 
     ``preprocess_time`` is the ordering plus one CSR of the arcs in
     positions, sorted by (source, target), and for every forward arc v->u
-    the offset where u's neighbours later than v start.  The scan then
-    takes whole vertices in batches of about ``_BATCH`` wedges, builds
-    their wedges as arrays and groups them with one stable sort by (v, w),
-    so it needs O(m + batch) memory beyond the graph.  Groups come out in
-    the order of their first wedge and members in scan order, so records,
-    their order and ``steps`` (wedges of every vertex reached, plus the
-    pairs emitted) are those of a vertex-by-vertex dictionary scan.
+    the offset where u's neighbours later than v start, read off its
+    reverse arc with one packed-key sort.  The scan then takes whole
+    vertices in batches of about ``_BATCH`` wedges, builds their wedges
+    as arrays and groups them by (v, w) with one default sort of packed
+    (rank of v in the batch, w, wedge index) keys; a batch with no
+    repeated key is done there.  Groups are taken in the order of their
+    first wedge and members in scan order.  Their pairs, in
+    ``combinations`` order, are built and canonicalised in arrays, about
+    ``_BATCH`` at a time, and handed to the sink one record each.  So it
+    needs O(m + batch) memory beyond the graph, and records, their order
+    and ``steps`` (wedges of every vertex reached, plus the pairs
+    emitted) are those of a vertex-by-vertex dictionary scan.
     """
     t0 = perf_counter()
     n = g.n
@@ -352,54 +371,90 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
     keys = pos[np.repeat(np.arange(n), deg)] * n
     keys += pos[g.indices]
     keys.sort()
+    ends = np.cumsum(deg[order])
     del deg, pos
     col = keys % n
-    ends = np.searchsorted(keys, np.arange(1, n + 1) * n)
     fwd = col > keys // n
     src, dst = keys[fwd] // n, col[fwd]
-    del fwd
-    start = np.searchsorted(keys, dst * n + src, side="right")
     del keys
+    # The m forward arcs in (target, source) order are the backward arcs
+    # in CSR order, reversed; each reverse arc u->v ends where u's
+    # neighbours later than v start.  The packed keys stay below
+    # 2 * n * m, in int64 for n < graphio.ID_LIMIT = 2**31, m <= 2**31.
+    start = np.empty(len(src), np.int64)
+    start[_stable_sort(dst)[1]] = np.flatnonzero(~fwd) + 1
+    del fwd
     count = ends[dst] - start
     acum = np.concatenate(([0], np.cumsum(count)))
     # Wedge number i, on arc a, has its w at col[skip[a] + i].
     skip = start - acum[:-1]
-    fptr = np.searchsorted(src, np.arange(n + 1))
+    fptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     vcum = acum[fptr]
     del ends, start, acum
+    # Per arc, n times the number of vertices with wedges before its
+    # source: a batch's wedges key v by their rank among its own.
+    has = vcum[1:] > vcum[:-1]
+    base = (np.cumsum(has) - has)[src] * n
+    del has
     t1 = perf_counter()
     emitted = 0
     for lo, hi in _batches(vcum):
         # Wedges v-u-w of positions lo..hi-1 in scan order, as arrays.
-        arc = np.repeat(np.arange(fptr[lo], fptr[hi]), count[fptr[lo]:fptr[hi]])
-        v = src[arc]
-        w = col[skip[arc] + np.arange(vcum[lo], vcum[hi])]
-        key = v * n + w
-        by = np.argsort(key, kind="stable")
-        key = key[by]
-        # Runs of equal keys in sorted order: the groups of two or more.
-        same = np.diff((key[1:] == key[:-1]).astype(np.int8),
-                       prepend=0, append=0)
-        first = np.flatnonzero(same == 1)
-        if not len(first):
+        nw = int(vcum[hi] - vcum[lo])
+        if nw < 2:
             continue
+        a0, a1 = fptr[lo], fptr[hi]
+        fan = count[a0:a1]
+        w = col[np.repeat(skip[a0:a1], fan) + np.arange(vcum[lo], vcum[hi])]
+        # v as its rank r among the batch's R vertices with wedges, so
+        # the keys r * n + w and their packing stay below 2 * R * n * nw:
+        # 2 * _BATCH**2 * n over several vertices (then nw <= _BATCH),
+        # 2 * nw * n for one.  Both fit in int64 for n < graphio.ID_LIMIT
+        # = 2**31, the second for nw < 2**31 wedges at one vertex.
+        key = np.repeat(base[a0:a1] - base[a0], fan)
+        key += w
+        key, by = _stable_sort(key)
+        same = key[1:] == key[:-1]
+        if not same.any():
+            continue
+        # Runs of equal keys in sorted order: the groups of two or more.
+        same = np.diff(same.astype(np.int8), prepend=0, append=0)
+        first = np.flatnonzero(same == 1)
         size = np.flatnonzero(same == -1) + 1 - first
         # Groups in the order of their first wedge, members in scan order.
         head = np.argsort(by[first])
         first, size = first[head], size[head]
-        lead = by[first]
-        members = by[np.repeat(first - np.cumsum(size) + size, size)
-                     + np.arange(int(size.sum()))]
-        us = order[dst[arc[members]]].tolist()
-        i = 0
-        for pv, x, y, s in zip(v[lead].tolist(), order[v[lead]].tolist(),
-                               order[w[lead]].tolist(), size.tolist()):
-            for u1, u2 in combinations(us[i:i + s], 2):
-                emitted += 1
-                if sink(four_cycle_record(x, u1, y, u2)):
+        end = np.cumsum(size)
+        members = by[np.repeat(first - end + size, size)
+                     + np.arange(int(end[-1]))]
+        # Per member: its ids v, u, w and the position of v.
+        arc = np.repeat(np.arange(a0, a1), fan)[members]
+        pv = src[arc]
+        vid, uid, wid = order[pv], order[dst[arc]], order[w[members]]
+        # A member's pairs are with the later members of its group.
+        later = np.repeat(end, size) - 1 - np.arange(len(members))
+        pcum = np.concatenate(([0], np.cumsum(later)))
+        for plo, phi in _batches(pcum):
+            i = np.repeat(np.arange(plo, phi), later[plo:phi])
+            j = np.arange(pcum[plo], pcum[phi]) - np.repeat(
+                pcum[plo:phi] - np.arange(plo + 1, phi + 1), later[plo:phi])
+            # Cycle v-u1-w-u2: the smallest id comes first, its opposite
+            # third, the smaller of its two neighbours second.
+            x, y = vid[i], wid[i]
+            u1, u2 = uid[i], uid[j]
+            p0, p1 = np.minimum(x, y), np.maximum(x, y)
+            q0, q1 = np.minimum(u1, u2), np.maximum(u1, u2)
+            vfirst = p0 < q0
+            cycles = zip(np.where(vfirst, p0, q0).tolist(),
+                         np.where(vfirst, q0, p0).tolist(),
+                         np.where(vfirst, p1, q1).tolist(),
+                         np.where(vfirst, q1, p1).tolist())
+            for at, record in enumerate(map(FourCycleRecord._make, cycles)):
+                if sink(record):
+                    emitted += at + 1
                     return _finish(t0, t1, emitted,
-                                   int(vcum[pv + 1]) + emitted)
-            i += s
+                                   int(vcum[pv[i[at]] + 1]) + emitted)
+            emitted += len(i)
     return _finish(t0, t1, emitted, int(vcum[n]) + emitted)
 
 

@@ -32,6 +32,7 @@ from arbolist import (
     triangle_record,
 )
 from arbolist.bench import c4_block_family
+from arbolist.graphio import ID_LIMIT
 from arbolist.oracle import MAX_TRIANGLE_N
 
 from .conftest import (
@@ -264,15 +265,17 @@ def reference_4cycles(g, sink):
 
 
 def assert_4cycles_match_reference(g, stops=True):
-    """Same records, order, count and steps, run to the end and, with
-    ``stops``, stopped at every record."""
+    """Same records, order, count and steps, run to the end and stopped
+    after record j for every j in ``stops`` (every record when True)."""
     want = []
     want_emitted, want_steps = reference_4cycles(g, want.append)
     got = []
     stats = list_4cycles(g, got.append)
     assert got == want
     assert (stats.emitted_count, stats.steps) == (want_emitted, want_steps)
-    for j in range(1, len(want) + 1 if stops else 1):
+    if stops is True:
+        stops = range(1, len(want) + 1)
+    for j in stops or ():
         seen, ref = [], []
         stats = list_4cycles(g, lambda r: seen.append(r) or len(seen) == j)
         expected = reference_4cycles(g, lambda r: ref.append(r)
@@ -301,6 +304,75 @@ def test_4cycles_match_the_vertex_by_vertex_lister_at_the_edges(
         assert_4cycles_match_reference(g)
     assert_4cycles_match_reference(random_gnm(60, 400, 3), stops=False)
     assert count_4cycles(isolated) == 1
+
+
+def spider(legs, shared):
+    """Hub 0 joined to legs 1..legs, leg i also to its own foot legs + i,
+    and legs 1..shared also to vertex 2 * legs + 1.  The hub comes first
+    in degree order with legs + shared wedges, and its group of ``shared``
+    wedges through that vertex gives every 4-cycle."""
+    edges = [(0, i) for i in range(1, legs + 1)]
+    edges += [(i, legs + i) for i in range(1, legs + 1)]
+    edges += [(i, 2 * legs + 1) for i in range(1, shared + 1)]
+    return from_edge_list(edges, 2 * legs + 2)
+
+
+@pytest.mark.parametrize("batch", [7, 4096])
+def test_4cycles_of_a_vertex_with_more_wedges_than_a_batch(monkeypatch,
+                                                           batch):
+    """The hub's wedges overflow a batch, so it is a batch of its own (the
+    single-vertex case of the packed-key bound), and its group of 10
+    yields more pairs per member than a batch at size 7."""
+    monkeypatch.setattr(listing, "_BATCH", batch)
+    g = spider(batch + 10, 10)
+    assert count_4cycles(g) == comb(10, 2)
+    assert_4cycles_match_reference(g)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 4096])
+def test_4cycles_with_batches_holding_vertices_without_wedges(monkeypatch,
+                                                              batch):
+    """Vertices with no wedges, some with arcs to later vertices (star
+    hubs), lie before and between the ones with wedges; graphs with no
+    wedge, or one, make batches with nothing to group."""
+    monkeypatch.setattr(listing, "_BATCH", batch)
+    k23 = lambda a, b, big: [(x, y) for x in (a, b) for y in big]
+    edges = (k23(0, 2, (6, 7, 8)) + [(1, 9), (1, 10), (1, 11)]
+             + k23(3, 5, (12, 13, 14)) + [(15, i) for i in range(16, 22)]
+             + [(22, 23), (23, 24), (24, 25), (25, 22)])
+    g = from_edge_list(edges, 26)
+    assert count_4cycles(g) == 7
+    for g in (g, star(5), from_edge_list([(0, 1), (1, 2), (2, 3)], 4)):
+        assert_4cycles_match_reference(g)
+
+
+@pytest.mark.parametrize("batch", [7, 4096])
+@pytest.mark.parametrize("make", [
+    lambda: c4_block_family(2000, 1),
+    lambda: polarity_graph(23),
+    lambda: random_gnm(5000, 25000, 3),
+], ids=["c4-blocks-2000", "polarity-23", "gnm-5000-25000"])
+def test_4cycles_match_the_vertex_by_vertex_lister_on_larger_graphs(
+        monkeypatch, make, batch):
+    monkeypatch.setattr(listing, "_BATCH", batch)
+    assert_4cycles_match_reference(make(), stops=(1, 7, 1000))
+
+
+def test_packed_wedge_keys_fit_in_int64():
+    """A batch's wedge keys r * n + w, packed with the wedge index, stay
+    below 2 * _BATCH**2 * n over several vertices and 2 * nw * n for one
+    vertex's nw wedges; both fit in int64 for every n the reader takes,
+    the second up to 2**31 wedges.  At the largest multi-vertex keys the
+    packed sort still equals numpy's stable sort."""
+    n = ID_LIMIT - 1
+    assert 2 * listing._BATCH ** 2 * n < 2 ** 63
+    assert 2 * 2 ** 31 * n < 2 ** 63
+    rng = np.random.default_rng(5)
+    key = rng.integers(listing._BATCH * n - 40, listing._BATCH * n,
+                       listing._BATCH)
+    got, by = listing._stable_sort(key)
+    want = np.argsort(key, kind="stable")
+    assert (by == want).all() and (got == key[want]).all()
 
 
 def test_kcliques_orient_the_graph_once(monkeypatch):
