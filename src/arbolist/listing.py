@@ -347,18 +347,16 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
 
     ``preprocess_time`` is the ordering plus one CSR of the arcs in
     positions, sorted by (source, target), and for every forward arc v->u
-    the offset where u's neighbours later than v start, read off its
-    reverse arc with one packed-key sort.  The scan then takes whole
-    vertices in batches of about ``_BATCH`` wedges, builds their wedges
-    as arrays and groups them by (v, w) with one default sort of packed
-    (rank of v in the batch, w, wedge index) keys; a batch with no
-    repeated key is done there.  Groups are taken in the order of their
-    first wedge and members in scan order.  Their pairs, in
-    ``combinations`` order, are built and canonicalised in arrays, about
-    ``_BATCH`` at a time, and handed to the sink one record each.  So it
-    needs O(m + batch) memory beyond the graph, and records, their order
-    and ``steps`` (wedges of every vertex reached, plus the pairs
-    emitted) are those of a vertex-by-vertex dictionary scan.
+    the offset where u's neighbours later than v start.  The scan then
+    takes whole vertices in batches of about ``_BATCH`` wedges, builds
+    their wedges as arrays and groups them by (v, w) with one sort of
+    packed (rank of v, w, wedge index) keys.  Groups are taken in the
+    order of their first wedge, members in scan order, and their pairs
+    in ``combinations`` order are canonicalised in arrays, about
+    ``_BATCH`` at a time.  So it needs O(m + batch) memory beyond the
+    graph, and records, their order and ``steps`` (wedges of every
+    vertex reached, plus the pairs emitted) are those of a
+    vertex-by-vertex dictionary scan.
     """
     t0 = perf_counter()
     n = g.n
@@ -395,7 +393,6 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
     # source: a batch's wedges key v by their rank among its own.
     has = vcum[1:] > vcum[:-1]
     base = (np.cumsum(has) - has)[src] * n
-    del has
     t1 = perf_counter()
     emitted = 0
     for lo, hi in _batches(vcum):

@@ -336,10 +336,13 @@ def test_4cycles_with_batches_holding_vertices_without_wedges(monkeypatch,
     hubs), lie before and between the ones with wedges; graphs with no
     wedge, or one, make batches with nothing to group."""
     monkeypatch.setattr(listing, "_BATCH", batch)
-    k23 = lambda a, b, big: [(x, y) for x in (a, b) for y in big]
-    edges = (k23(0, 2, (6, 7, 8)) + [(1, 9), (1, 10), (1, 11)]
-             + k23(3, 5, (12, 13, 14)) + [(15, i) for i in range(16, 22)]
-             + [(22, 23), (23, 24), (24, 25), (25, 22)])
+    # Two K_{2,3} with parts {0, 2} and {3, 5}, the star hub 1 between
+    # them in the order, the star hub 15 before all three, and a C4.
+    edges = [(x, y) for small, big in (((0, 2), (6, 7, 8)),
+                                       ((3, 5), (12, 13, 14)))
+             for x in small for y in big]
+    edges += [(1, 9), (1, 10), (1, 11)] + [(15, i) for i in range(16, 22)]
+    edges += [(22, 23), (23, 24), (24, 25), (25, 22)]
     g = from_edge_list(edges, 26)
     assert count_4cycles(g) == 7
     for g in (g, star(5), from_edge_list([(0, 1), (1, 2), (2, 3)], 4)):
