@@ -44,35 +44,60 @@ PART_SLACK = 256
 
 def _parse(path: PathLike, weighted: bool):
     """n (from the header, else max id + 1) and the header's k, then the
-    data rows of one file as ``_rows`` gives them."""
-    stripped = _lines(path)
-    n, header_k = _header(path, stripped, weighted)
-    linenos, ids, weights = _rows(path, stripped, 3 if weighted else 2,
-                                  ID_LIMIT)
+    file's lines and its data rows as ``_rows`` gives them."""
+    lines, top, data = _lines(path)
+    n, header_k = _header(path, top, weighted)
+    ids, weights = _rows(path, lines, data, 3 if weighted else 2, ID_LIMIT)
     if n is None:
         n = int(ids.max()) + 1 if len(ids) else 0
-    return n, header_k, linenos, ids, weights
+    return n, header_k, lines, ids, weights
 
 
-def _lines(path: PathLike) -> list[str]:
-    return list(map(str.strip, Path(path).read_text("ascii").split("\n")))
+def _lines(path: PathLike):
+    """A file's lines, the lines that can hold its header, and the lines
+    that hold its data rows.
 
-
-def _rows(path: PathLike, stripped: list[str], want: int, limit: int):
-    """The data rows of a file's stripped lines: their line numbers, their
-    first two fields (one, for a one-field file) as an int64 array of ids
-    in [0, limit) and, for a three-field file, the third as Python ints.
-
-    numpy's reader converts the rows.  A file it refuses or warns on (no
-    data rows; on numpy 1.23-1.26, a field it read as a float and cast),
-    or whose rows it reads with the wrong width or an id out of range,
-    is read again by ``_walk``, which names the first faulty line or, for
-    the forms only ``int()`` reads (``1_000``, weights beyond int64),
-    returns the rows.
+    Where every '#' lies in the file's leading block of comment and blank
+    lines, the header is in that block and the data lines are all lines
+    after it, as they are: ``loadtxt`` skips blank lines and splits on
+    the whitespace that ``str.split`` does.  Else the header may be on any
+    line and the data lines are those that are neither blank nor comments.
     """
-    linenos = [i for i, line in enumerate(stripped, 1)
-               if line and line[0] != "#"]
-    data = [stripped[i - 1] for i in linenos]
+    text = Path(path).read_text("ascii")
+    lines = text.split("\n")
+    head = 0
+    for line in lines:
+        line = line.strip()
+        if line and line[0] != "#":
+            break
+        head += 1
+    if text.find("#", sum(map(len, lines[:head])) + head) < 0:
+        return lines, lines[:head], lines[head:]
+    return lines, lines, [lines[i - 1] for i in _linenos(lines)]
+
+
+def _linenos(lines: list[str]) -> list[int]:
+    """The numbers, from 1, of the data lines: neither blank nor comments.
+
+    Only a fault needs them, to name the line of a row.
+    """
+    return [i for i, line in enumerate(map(str.strip, lines), 1)
+            if line and line[0] != "#"]
+
+
+def _rows(path: PathLike, lines: list[str], data: list[str], want: int,
+          limit: int):
+    """The data rows of a file: their first two fields (one, for a
+    one-field file) as an int64 array of ids in [0, limit) and, for a
+    three-field file, the third as Python ints.
+
+    numpy's reader converts ``data``, the lines ``_lines`` gives for the
+    rows.  A file it refuses or warns on (no data rows; on numpy
+    1.23-1.26, a field it read as a float and cast), or whose rows it
+    reads with the wrong width or an id out of range, is read again by
+    ``_walk``, which names the first faulty line or, for the forms only
+    ``int()`` reads (``1_000``, weights beyond int64), returns the rows.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -81,18 +106,18 @@ def _rows(path: PathLike, stripped: list[str], want: int, limit: int):
         rows = None
     if (rows is None or rows.shape[1] != want
             or rows[:, :2].min() < 0 or rows[:, :2].max() >= limit):
-        rows = np.array(_walk(path, linenos, data, want, limit),
+        rows = np.array(_walk(path, lines, want, limit),
                         object).reshape(-1, want)
     weights = rows[:, 2].tolist() if want == 3 else None
-    return linenos, rows[:, :2].astype(np.int64, copy=False), weights
+    return rows[:, :2].astype(np.int64, copy=False), weights
 
 
-def _header(path: PathLike, stripped: list[str], weighted: bool):
+def _header(path: PathLike, lines: list[str], weighted: bool):
     """n and k of the first "# n=<N> [k=<K>]" line, or None for each.
 
     A weighted file's k may not exceed both n and ``PART_SLACK``.
     """
-    for lineno, line in enumerate(stripped, 1):
+    for lineno, line in enumerate(map(str.strip, lines), 1):
         match = line[:1] == "#" and _HEADER.match(line)
         if match:
             n = int(match.group(1))
@@ -106,12 +131,13 @@ def _header(path: PathLike, stripped: list[str], weighted: bool):
     return None, None
 
 
-def _walk(path: PathLike, linenos, data, want: int, limit: int):
+def _walk(path: PathLike, lines: list[str], want: int, limit: int):
     """The data lines read one at a time with ``int()``: their rows as
     lists of Python ints, or the ParseError of the first faulty line."""
     noun = "label" if want == 1 else "vertex id"
     rows = []
-    for lineno, line in zip(linenos, data):
+    for lineno in _linenos(lines):
+        line = lines[lineno - 1].strip()
         fields = line.split()
         if len(fields) != want:
             raise ParseError(path, lineno,
@@ -138,7 +164,8 @@ def read_labels(path: PathLike, below: Optional[int] = None) -> dict[int, int]:
     below ``min(below, 2**31)``.  The first faulty label fails at its line.
     """
     limit = ID_LIMIT if below is None else min(below, ID_LIMIT)
-    _, labels, _ = _rows(path, _lines(path), 1, limit)
+    lines, _, data = _lines(path)
+    labels, _ = _rows(path, lines, data, 1, limit)
     return dict(enumerate(labels[:, 0].tolist()))
 
 
@@ -159,19 +186,19 @@ def _sibling_labels(path: PathLike, labels_path: Optional[PathLike], n: int,
 
 def read_edge_list(path: PathLike,
                    labels_path: Optional[PathLike] = None) -> Graph:
-    n, _, linenos, ids, _ = _parse(path, weighted=False)
+    n, _, lines, ids, _ = _parse(path, weighted=False)
     labels = _sibling_labels(path, labels_path, n)
-    return _build(path, linenos, ids, n, labels)
+    return _build(path, lines, ids, n, labels)
 
 
-def _build(path: PathLike, linenos, ids, n: int,
+def _build(path: PathLike, lines: list[str], ids, n: int,
            labels: Optional[dict[int, int]]) -> Graph:
     """``from_edge_list`` on the parsed ids, its errors as ParseError at
     the line of the pair it rejects."""
     try:
         return from_edge_list(ids, n, labels)
     except (DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError) as exc:
-        raise ParseError(path, linenos[exc.index], str(exc))
+        raise ParseError(path, _linenos(lines)[exc.index], str(exc))
 
 
 def read_weighted_kpartite(path: PathLike,
@@ -186,18 +213,18 @@ def read_weighted_kpartite(path: PathLike,
     observed; a weight too large for the solver on k parts fails at its
     line.
     """
-    n, header_k, linenos, ids, row_weights = _parse(path, weighted=True)
+    n, header_k, lines, ids, row_weights = _parse(path, weighted=True)
     below = header_k if header_k is not None else max(n, PART_SLACK)
     labels = _sibling_labels(path, labels_path, n, below)
     if labels is None:
         raise ParseError(path, 0, "weighted k-partite file needs a labels file")
     k = header_k if header_k is not None else 1 + max(labels.values(), default=0)
-    base = _build(path, linenos, ids, n, labels)
+    base = _build(path, lines, ids, n, labels)
     part = np.fromiter(labels.values(), np.int64, n)[ids]
     same = part[:, 0] == part[:, 1]
     if same.any():
         i = int(same.argmax())
-        raise ParseError(path, linenos[i],
+        raise ParseError(path, _linenos(lines)[i],
                          f"edge {tuple(ids[i].tolist())} lies within "
                          f"part {part[i, 0]}")
     weights = dict(zip(map(tuple, np.sort(ids, axis=1).tolist()), row_weights))
@@ -206,7 +233,7 @@ def read_weighted_kpartite(path: PathLike,
     limit = max_weight(k)
     if bound > limit:
         i = next(i for i, w in enumerate(row_weights) if abs(w) > limit)
-        raise ParseError(path, linenos[i],
+        raise ParseError(path, _linenos(lines)[i],
                          f"weight {row_weights[i]} is beyond the solver's "
                          f"limit {limit} for k={k}")
     return wg

@@ -14,7 +14,6 @@ collisions.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, product
@@ -27,8 +26,6 @@ from .core import Graph, validate_kpartite
 from .errors import BadEpsilonError, BadModulusError, BadSError
 from .listing import CliqueRecord, Orientation, orient, scan_cliques
 from .primes import EXACT_BELOW, is_prime, next_prime_above
-
-log = logging.getLogger(__name__)
 
 Edge = tuple  # (u, v) with u < v
 
@@ -168,8 +165,8 @@ class IntervalPartition:
 
     The last interval may be shorter.  When the requested s would leave
     empty trailing intervals (possible since lengths round up), s is
-    reduced to the number of nonempty intervals and the reduction is
-    reported through a log line.
+    reduced to the number of nonempty intervals; the reduced s is this
+    ``s``, which ``SolveReport.s`` and the CLI's ``s=`` field show.
     """
 
     p: int
@@ -189,9 +186,6 @@ def partition_intervals(p: int, s: int) -> IntervalPartition:
         raise BadSError(s, p)
     length = -(-p // s)
     actual = -(-p // length)
-    if actual != s:
-        log.info("reduced s from %d to %d to avoid empty intervals (p=%d)",
-                 s, actual, p)
     bounds = tuple((i * length, min((i + 1) * length, p))
                    for i in range(actual))
     return IntervalPartition(p=p, s=actual, length=length, bounds=bounds)

@@ -1,5 +1,7 @@
-"""End-to-end runs of every CLI path, in process via main()."""
+"""End-to-end runs of every CLI path, in process via main(), and of
+``python -m arbolist`` in child processes."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -207,6 +209,53 @@ def test_list_reader_closing_the_pipe_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _python(*argv):
+    """A child Python with this checkout's package on its path, its
+    stdout and stderr read through pipes."""
+    src = str(Path(arbolist.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          env=env, timeout=120)
+
+
+def test_list_stream_through_a_pipe_ends_with_stats_and_exits_0(tmp_path,
+                                                               capsys):
+    path = str(tmp_path / "blocks.txt")
+    # About 5000 record lines, beyond a 64 KB pipe buffer.
+    write_edge_list(path, c4_block_family(5000, 1))
+    child = _python("-m", "arbolist", "list", "--input", path, "--kind", "c4")
+    assert (child.returncode, child.stderr) == (0, b"")
+    *records, stats = child.stdout.decode().splitlines()
+    assert stats.startswith("STATS pre=")
+    assert f" count={len(records)} " in stats and len(records) >= 5000
+    code, out, _ = run(capsys, "list", "--input", path, "--kind", "c4")
+    assert (code, out.splitlines()[:-1]) == (0, records)
+
+
+def test_faulty_file_exits_2_with_one_error_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# n=4\n0 1\n\n1 2\n2 1\n")
+    child = _python("-m", "arbolist", "list", "--input", str(path),
+                    "--kind", "triangle")
+    assert (child.returncode, child.stdout) == (2, b"")
+    assert child.stderr.decode().splitlines() == [
+        f"error: {path}:5: duplicate edge (2, 1)"]
+
+
+def test_import_and_main_leave_the_gc_as_they_find_it(tmp_path, capsys):
+    child = _python("-c", "import gc, arbolist.cli; "
+                          "print(gc.isenabled(), gc.get_freeze_count())")
+    assert child.stdout.decode().split() == ["True", "0"]
+    path = tmp_path / "k4.txt"
+    path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    before = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+    assert run(capsys, "list", "--input", str(path), "--kind", "c4")[0] == 0
+    assert (gc.isenabled(), gc.get_threshold(),
+            gc.get_freeze_count()) == before
+    assert gc.get_freeze_count() == 0
 
 
 def test_list_on_a_header_only_file_is_quiet(tmp_path, capsys):

@@ -16,9 +16,11 @@ from arbolist import (
     from_edge_list,
     random_weighted_kpartite,
 )
+from arbolist import graphio
 from arbolist.graphio import (
     ID_LIMIT,
     read_edge_list,
+    read_labels,
     read_weighted_kpartite,
     write_edge_list,
     write_weighted_kpartite,
@@ -197,6 +199,10 @@ _LINES = st.one_of(
 def test_error_line_matches_a_line_by_line_reader(tmp_path, lines):
     p = _fresh(tmp_path, "g.txt")
     p.write_text("\n".join(lines) + "\n")
+    _assert_reads_as_line_by_line(p)
+
+
+def _assert_reads_as_line_by_line(p):
     expected, graph = _line_by_line(p)
     if expected is None:
         g = read_edge_list(p)
@@ -206,6 +212,84 @@ def test_error_line_matches_a_line_by_line_reader(tmp_path, lines):
         read_edge_list(p)
     assert (err.value.lineno, str(err.value)) == (
         expected[0], f"{p}:{expected[0]}: {expected[1]}")
+
+
+def _takes_the_fast_path(p) -> bool:
+    """Whether ``loadtxt`` gets the lines after the leading comment block
+    as they are, rather than the data lines picked out one by one."""
+    lines, top, data = graphio._lines(p)
+    return top + data == lines and len(top) < len(lines)
+
+
+@pytest.mark.parametrize("text, fast", [
+    ("# n=6\n0 1\n# late comment\n1 2\n", False),
+    ("0 1\n1 2 # x\n2 3\n", False),
+    ("# gen\r\n# n=5\r\n0 1\r\n\r\n2 3\r\n", True),
+    ("0 1\n\n   \n\t\n1 2\n \x0b\x0c\n\x1c\x1d\n2 3 \x1f\n", True),
+    ("0 1\n# n=9\n1 2\n", False),
+    ("0 1\n1 2\n", True),
+    ("\n  # n=7\n\n0 1\n", True),
+    ("1_000 2\n0 1\n", True),
+    (f"0 1\n1 {2 ** 31}\n", True),
+    ("# n=4\n0 1\n\n\n  \n1 2\n\n1 0\n", True),
+    ("# n=4\n0 1\n\n\t\n2 2\n", True),
+    ("# n=4\n0 1\n\n\n3 4\n", True),
+    ("# n=4\n0 1\n\n1 2\n# trailing\n1 0\n", False),
+], ids=["comment-after-rows", "comment-after-fields", "crlf",
+        "blank-and-whitespace-lines", "header-mid-file", "no-header",
+        "indented-header", "underscore", "id-2**31",
+        "duplicate-after-blanks", "self-loop-after-blanks",
+        "beyond-n-after-blanks", "duplicate-after-a-comment"])
+def test_fast_parse_reads_as_line_by_line(tmp_path, text, fast):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    assert _takes_the_fast_path(p) == fast
+    _assert_reads_as_line_by_line(p)
+
+
+def test_fast_parse_of_a_weighted_file_with_blank_lines(tmp_path):
+    p = tmp_path / "w.txt"
+    p.write_text("# gen\n# n=6 k=3\n0 1 5\n\n1 2 -3\r\n  \n"
+                 f"2 3 {2 ** 63}\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n2\n" * 2)
+    assert _takes_the_fast_path(p)
+    wg = read_weighted_kpartite(p)
+    assert (wg.base.n, wg.k) == (6, 3)
+    assert wg.weights == {(0, 1): 5, (1, 2): -3, (2, 3): 2 ** 63}
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ("0 1 5\n\n\n1 0 5\n", 6, "duplicate edge (1, 0)"),
+    ("0 1 5\n\n\t\n0 3 1\n", 6, "edge (0, 3) lies within part 0"),
+    (f"0 1 5\n\n\n1 2 {max_weight(3) + 1}\n", 6,
+     f"weight {max_weight(3) + 1} is beyond the solver's limit"),
+])
+def test_fast_parse_names_the_weighted_fault_line(tmp_path, rows, line,
+                                                  message):
+    p = tmp_path / "w.txt"
+    p.write_text("# gen\n# n=6 k=3\n" + rows)
+    (tmp_path / "w.txt.labels").write_text("0\n1\n2\n" * 2)
+    assert _takes_the_fast_path(p)
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert err.value.lineno == line
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("text, labels, line, message", [
+    ("2\r\n\n 1 \n\x0c\n0\n", {0: 2, 1: 1, 2: 0}, None, None),
+    ("2\n\n\n1\n3\n", None, 5, "label 3 is not below 3"),
+    ("2\n\n1\n# late\n-1\n", None, 5, "negative label"),
+])
+def test_fast_parse_of_a_labels_file(tmp_path, text, labels, line, message):
+    p = tmp_path / "g.txt.labels"
+    p.write_text(text)
+    if labels is not None:
+        assert read_labels(p, 3) == labels
+        return
+    with pytest.raises(ParseError) as err:
+        read_labels(p, 3)
+    assert (err.value.lineno, message in str(err.value)) == (line, True)
 
 
 def test_weighted_construction_error_points_at_its_line(tmp_path):

@@ -1,4 +1,3 @@
-import logging
 import random
 from itertools import combinations, product
 
@@ -120,10 +119,8 @@ def test_partition_examples():
     assert all(b - a == 1 for a, b in sevens.bounds)
 
 
-def test_partition_reduces_s_when_trailing_empty(caplog):
-    with caplog.at_level(logging.INFO, logger="arbolist.zeroclique"):
-        part = partition_intervals(10, 7)
-    assert "reduced s from 7 to 5" in caplog.text
+def test_partition_reduces_s_when_trailing_empty():
+    part = partition_intervals(10, 7)
     assert part.s == 5
     assert part.bounds[-1] == (8, 10)
 
