@@ -1,9 +1,3 @@
-import gc
-import sys
+from .cli import run
 
-from .cli import main
-
-code = main()
-# Spare the exit its full collections over every object the imports made.
-gc.freeze()
-sys.exit(code)
+run()

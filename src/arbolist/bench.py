@@ -4,6 +4,9 @@ Each suite sweeps instance sizes geometrically, runs one lister per
 instance, and emits rows holding both wall-time splits and the lister's
 inner step counter.  The step counter, normalized by m times a power of
 the degeneracy, is the scaling signal; wall time is informational.
+Every suite hands its lister the per-record sink ``_drain``, not an
+array sink, so ``emit_s`` keeps timing the per-record path (acceptance
+8's 4-cycle "emit per item" measures it).
 """
 
 from __future__ import annotations

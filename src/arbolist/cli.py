@@ -11,6 +11,7 @@ time to read the input file into a graph.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from time import perf_counter
 from typing import Optional
@@ -60,7 +61,7 @@ def _kind(kind: str, k: Optional[int], n: int):
         return list_triangles, oracle.brute_triangles, "T %d %d %d\n"
     if kind == "c4":
         return list_4cycles, oracle.brute_4cycles, "C4 %d %d %d %d\n"
-    return (lambda g, sink: list_kcliques(g, k, sink),
+    return (lambda g, sink, **kw: list_kcliques(g, k, sink, **kw),
             lambda g: oracle.brute_kcliques(g, k),
             f"K{k}" + " %d" * min(k, n) + "\n")
 
@@ -109,17 +110,18 @@ def cmd_list(args) -> int:
     load = perf_counter() - t0
     lister, _, line = _kind(args.kind, args.k, g.n)
     if args.count_only:
-        stats = lister(g, lambda record: None)
+        stats = lister(g, lambda rows: None, batches=True)
         print(f"COUNT {args.kind} {stats.emitted_count}")
     else:
         # Bound when the command runs, so a replaced sys.stdout is used.
         write = sys.stdout.write
 
-        def sink(record) -> None:
-            # Returns None: write's character count would stop the lister.
-            write(line % record)
+        def sink(rows) -> None:
+            # One write per batch of records.  Returns None: write's
+            # character count would mean "stop at that row".
+            write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
-        stats = lister(g, sink)
+        stats = lister(g, sink, batches=True)
     print(_stats_line(stats, load))
     return EXIT_OK
 
@@ -261,5 +263,19 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Run :func:`main` on the command line and exit with its code: the
+    ``arbolist`` script and ``python -m arbolist``.
+
+    The GC is frozen before the exit to spare it the full collections
+    over every object the imports made; output is still flushed and
+    atexit handlers still run.  :func:`main` itself leaves the GC as it
+    finds it.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

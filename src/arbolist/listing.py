@@ -2,10 +2,22 @@
 
 All listers stream canonical records into a caller-supplied sink and run
 in time proportional to m times a small power of the graph degeneracy,
-plus the number of records emitted.  A sink is any callable taking one
-record; returning a truthy value stops the enumeration before the next
-record.  Every record is emitted exactly once, in a deterministic order
-for a given graph.
+plus the number of records emitted.  Every record is emitted exactly
+once, in a deterministic order for a given graph.  A sink takes one of
+two forms:
+
+* per record (the default): any callable taking one record, a
+  :class:`TriangleRecord`, :class:`FourCycleRecord` or ascending tuple;
+  a truthy return stops the enumeration before the next record;
+* per batch (``batches=True``): a callable taking a batch of records as
+  one (r, k) int64 array of ids, r >= 1, rows in record order and
+  columns those of the records; it returns the index of the row it
+  stopped at, or None to go on.  A stop at row i counts the rows up to
+  i as emitted, with the same ``emitted_count`` and ``steps`` as a
+  per-record sink stopping at that record.
+
+The scans build every batch as an array; a per-record sink gets its
+records through one adapter, :func:`_per_record`.
 
 Triangles and k-cliques read one degeneracy orientation
 (:func:`orient`): the ordering, then one sort of the arc keys into a CSR
@@ -266,38 +278,59 @@ def scan_cliques(o: Orientation, k: int,
     return emitted, steps
 
 
+def _per_record(sink: Sink, make: Callable[[tuple], Any]
+                ) -> Callable[[np.ndarray], int | None]:
+    """A batch sink handing ``sink`` the ``make`` of each row's ids in
+    turn, that stops at the first record ``sink`` answers truthy."""
+    def consume(rows: np.ndarray) -> int | None:
+        # Rows as tuples zipped from the columns: cheaper than tolist's
+        # one list per row.
+        for at, record in enumerate(map(make, zip(*rows.T.tolist()))):
+            if sink(record):
+                return at
+        return None
+    return consume
+
+
+def _ignore(rows: np.ndarray) -> None:
+    """A batch sink that only lets the records be counted."""
+
+
 def _list(g: Graph | Orientation, k: int, sink: Sink,
-          make: Callable[[list], Any]) -> EnumerationStats:
-    """Every k-clique of ``g`` into ``sink``, as ``make`` of its ascending
-    id list, in the order of :func:`scan_cliques`."""
+          make: Callable[[tuple], Any], batches: bool) -> EnumerationStats:
+    """Every k-clique of ``g`` into ``sink``, in the order of
+    :func:`scan_cliques`: as arrays of ascending ids of at most
+    ``_BATCH`` rows with ``batches``, else as ``make`` of each id tuple."""
     o, t0, t1 = _oriented(g)
+    consume = sink if batches else _per_record(sink, make)
 
     def emit(rows: np.ndarray) -> int | None:
         for lo in range(0, len(rows), _BATCH):
             cliques = o.order[rows[lo:lo + _BATCH]]
             cliques.sort(1)
-            for at, ids in enumerate(cliques.tolist(), lo):
-                if sink(make(ids)):
-                    return at
+            at = consume(cliques)
+            if at is not None:
+                return lo + at
         return None
 
     return _finish(t0, t1, *scan_cliques(o, k, emit))
 
 
-def list_triangles(g: Graph | Orientation, sink: Sink) -> EnumerationStats:
+def list_triangles(g: Graph | Orientation, sink: Sink, *,
+                   batches: bool = False) -> EnumerationStats:
     """List every triangle exactly once in O(m * degeneracy) time.
 
     The k=3 case of :func:`list_kcliques`, with records as ascending
-    :class:`TriangleRecord` triples.  ``preprocess_time`` is the ordering
-    and the one-sort CSR of :func:`orient` (0 when handed an
-    :class:`Orientation`), ``emit_time`` the clique scan with the sink
-    calls.
+    :class:`TriangleRecord` triples (rows a, b, c with ``batches``).
+    ``preprocess_time`` is the ordering and the one-sort CSR of
+    :func:`orient` (0 when handed an :class:`Orientation`),
+    ``emit_time`` the clique scan with the sink calls.
     """
-    return _list(g, 3, sink, TriangleRecord._make)
+    return _list(g, 3, sink, TriangleRecord._make, batches)
 
 
 def count_triangles(g: Graph) -> int:
-    return list_triangles(g, lambda record: None).emitted_count
+    return list_triangles(g, _ignore, batches=True).emitted_count
 
 
 def all_edge_sparse_triangle(g: Graph) -> dict[tuple[int, int], bool]:
@@ -329,7 +362,8 @@ def _stable_sort(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return packed >> bits, packed & ((1 << bits) - 1)
 
 
-def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
+def list_4cycles(g: Graph, sink: Sink, *,
+                 batches: bool = False) -> EnumerationStats:
     """List every 4-cycle exactly once; two-hop scans cost O(m * degeneracy).
 
     Vertices are processed in order of decreasing degree (ties by id) with
@@ -353,9 +387,10 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
     packed (rank of v, w, wedge index) keys.  Groups are taken in the
     order of their first wedge, members in scan order, and their pairs
     in ``combinations`` order are canonicalised in arrays, about
-    ``_BATCH`` at a time.  So it needs O(m + batch) memory beyond the
-    graph, and records, their order and ``steps`` (wedges of every
-    vertex reached, plus the pairs emitted) are those of a
+    ``_BATCH`` at a time, each such array one batch for the sink (rows
+    a, b, c, d with ``batches``).  So it needs O(m + batch) memory
+    beyond the graph, and records, their order and ``steps`` (wedges of
+    every vertex reached, plus the pairs emitted) are those of a
     vertex-by-vertex dictionary scan.
     """
     t0 = perf_counter()
@@ -394,6 +429,7 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
     has = vcum[1:] > vcum[:-1]
     base = (np.cumsum(has) - has)[src] * n
     t1 = perf_counter()
+    consume = sink if batches else _per_record(sink, FourCycleRecord._make)
     emitted = 0
     for lo, hi in _batches(vcum):
         # Wedges v-u-w of positions lo..hi-1 in scan order, as arrays.
@@ -442,26 +478,27 @@ def list_4cycles(g: Graph, sink: Sink) -> EnumerationStats:
             p0, p1 = np.minimum(x, y), np.maximum(x, y)
             q0, q1 = np.minimum(u1, u2), np.maximum(u1, u2)
             vfirst = p0 < q0
-            cycles = zip(np.where(vfirst, p0, q0).tolist(),
-                         np.where(vfirst, q0, p0).tolist(),
-                         np.where(vfirst, p1, q1).tolist(),
-                         np.where(vfirst, q1, p1).tolist())
-            for at, record in enumerate(map(FourCycleRecord._make, cycles)):
-                if sink(record):
-                    emitted += at + 1
-                    return _finish(t0, t1, emitted,
-                                   int(vcum[pv[i[at]] + 1]) + emitted)
+            cycles = np.stack((np.where(vfirst, p0, q0),
+                               np.where(vfirst, q0, p0),
+                               np.where(vfirst, p1, q1),
+                               np.where(vfirst, q1, p1)), 1)
+            at = consume(cycles)
+            if at is not None:
+                emitted += at + 1
+                return _finish(t0, t1, emitted,
+                               int(vcum[pv[i[at]] + 1]) + emitted)
             emitted += len(i)
     return _finish(t0, t1, emitted, int(vcum[n]) + emitted)
 
 
 def count_4cycles(g: Graph) -> int:
-    return list_4cycles(g, lambda record: None).emitted_count
+    return list_4cycles(g, _ignore, batches=True).emitted_count
 
 
-def list_kcliques(g: Graph | Orientation, k: int,
-                  sink: Sink) -> EnumerationStats:
-    """List every k-clique exactly once, k >= 2, as an ascending tuple.
+def list_kcliques(g: Graph | Orientation, k: int, sink: Sink, *,
+                  batches: bool = False) -> EnumerationStats:
+    """List every k-clique exactly once, k >= 2, as an ascending tuple
+    (with ``batches``, as ascending rows of at most ``_BATCH`` a batch).
 
     A :class:`Graph` is oriented once by :func:`orient`, so each out-row
     holds at most degeneracy-many vertices; an :class:`Orientation` is
@@ -483,8 +520,8 @@ def list_kcliques(g: Graph | Orientation, k: int,
     """
     if k < 2:
         raise KTooSmallError(k)
-    return _list(g, k, sink, tuple)
+    return _list(g, k, sink, tuple, batches)
 
 
 def count_kcliques(g: Graph, k: int) -> int:
-    return list_kcliques(g, k, lambda record: None).emitted_count
+    return list_kcliques(g, k, _ignore, batches=True).emitted_count

@@ -16,6 +16,7 @@ from arbolist.bench import c4_block_family
 from arbolist.cli import main
 from arbolist.generators import polarity_graph, random_gnm
 from arbolist.graphio import read_edge_list, write_edge_list
+from arbolist import listing
 from arbolist.listing import list_4cycles, list_kcliques, list_triangles
 
 
@@ -191,6 +192,44 @@ def test_list_records_match_print_reference(tmp_path, capsys):
     assert seen == set(_RECORD_KINDS)
 
 
+class CountingStdout:
+    """A stdout that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("kind, extra, lister, line", [
+    ("c4", (), list_4cycles, "C4 %d %d %d %d\n"),
+    ("clique", ("--k", "2"),
+     lambda g, sink, **kw: list_kcliques(g, 2, sink, **kw), "K2 %d %d\n"),
+])
+def test_list_writes_each_batch_of_records_in_one_call(tmp_path, monkeypatch,
+                                                        kind, extra, lister,
+                                                        line):
+    monkeypatch.setattr(listing, "_BATCH", 7)
+    path = str(tmp_path / "blocks.txt")
+    write_edge_list(path, c4_block_family(30, 1))
+    batches = []
+    lister(read_edge_list(path), batches.append, batches=True)
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["list", "--input", path, "--kind", kind, *extra]) == 0
+    records = sum(len(rows) for rows in batches)
+    assert 1 < len(batches) < records
+    assert out.writes[:len(batches)] == [
+        "".join(line % tuple(r) for r in rows.tolist()) for rows in batches]
+    assert "".join(out.writes[len(batches):]).startswith("STATS pre=")
+    assert f" count={records} " in "".join(out.writes)
+
+
 def test_list_reader_closing_the_pipe_exits_2_without_traceback(tmp_path):
     path = str(tmp_path / "blocks.txt")
     # About 20000 record lines, far beyond a 64 KB pipe buffer.
@@ -256,6 +295,27 @@ def test_import_and_main_leave_the_gc_as_they_find_it(tmp_path, capsys):
     assert (gc.isenabled(), gc.get_threshold(),
             gc.get_freeze_count()) == before
     assert gc.get_freeze_count() == 0
+
+
+def test_the_script_target_freezes_the_gc_before_it_exits(tmp_path):
+    """The installed ``arbolist`` script runs what ``python -m arbolist``
+    runs: the command, then ``gc.freeze()`` before the exit."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml",
+              "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["arbolist"]
+    module, name = target.split(":")
+    path = tmp_path / "k4.txt"
+    path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    child = _python(
+        "-c", f"import atexit, gc, {module}; "
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() "
+              f"> 0)); {module}.{name}()",
+        "list", "--input", str(path), "--kind", "triangle", "--count-only")
+    assert (child.returncode, child.stderr) == (0, b"")
+    lines = child.stdout.decode().splitlines()
+    assert lines[0] == "COUNT triangle 4" and lines[1].startswith("STATS ")
+    assert lines[2:] == ["frozen True"]
 
 
 def test_list_on_a_header_only_file_is_quiet(tmp_path, capsys):

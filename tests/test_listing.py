@@ -218,8 +218,8 @@ def test_early_stop_kcliques():
     assert len(seen) == 1
 
 
-def list_4cliques(g, sink):
-    return list_kcliques(g, 4, sink)
+def list_4cliques(g, sink, **kw):
+    return list_kcliques(g, 4, sink, **kw)
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,6 +329,18 @@ def test_4cycles_of_a_vertex_with_more_wedges_than_a_batch(monkeypatch,
     assert_4cycles_match_reference(g)
 
 
+def bipartite_blocks_and_stars():
+    """Two K_{2,3} with parts {0, 2} and {3, 5}, the star hub 1 between
+    them in the degree order, the star hub 15 before all three, and a
+    C4."""
+    edges = [(x, y) for small, big in (((0, 2), (6, 7, 8)),
+                                       ((3, 5), (12, 13, 14)))
+             for x in small for y in big]
+    edges += [(1, 9), (1, 10), (1, 11)] + [(15, i) for i in range(16, 22)]
+    edges += [(22, 23), (23, 24), (24, 25), (25, 22)]
+    return from_edge_list(edges, 26)
+
+
 @pytest.mark.parametrize("batch", [1, 2, 7, 4096])
 def test_4cycles_with_batches_holding_vertices_without_wedges(monkeypatch,
                                                               batch):
@@ -336,14 +348,7 @@ def test_4cycles_with_batches_holding_vertices_without_wedges(monkeypatch,
     hubs), lie before and between the ones with wedges; graphs with no
     wedge, or one, make batches with nothing to group."""
     monkeypatch.setattr(listing, "_BATCH", batch)
-    # Two K_{2,3} with parts {0, 2} and {3, 5}, the star hub 1 between
-    # them in the order, the star hub 15 before all three, and a C4.
-    edges = [(x, y) for small, big in (((0, 2), (6, 7, 8)),
-                                       ((3, 5), (12, 13, 14)))
-             for x in small for y in big]
-    edges += [(1, 9), (1, 10), (1, 11)] + [(15, i) for i in range(16, 22)]
-    edges += [(22, 23), (23, 24), (24, 25), (25, 22)]
-    g = from_edge_list(edges, 26)
+    g = bipartite_blocks_and_stars()
     assert count_4cycles(g) == 7
     for g in (g, star(5), from_edge_list([(0, 1), (1, 2), (2, 3)], 4)):
         assert_4cycles_match_reference(g)
@@ -359,6 +364,95 @@ def test_4cycles_match_the_vertex_by_vertex_lister_on_larger_graphs(
         monkeypatch, make, batch):
     monkeypatch.setattr(listing, "_BATCH", batch)
     assert_4cycles_match_reference(make(), stops=(1, 7, 1000))
+
+
+def fixed_graphs():
+    """The fixed graphs of the 4-cycle tests, with records of every kind
+    (complete(6)), records of some (the bipartite and random ones) and
+    none at all; and whether stopping at each of their records is cheap."""
+    isolated = from_edge_list([(3, 900), (900, 4000), (4000, 17), (17, 3)],
+                              5000)
+    return [(g, True) for g in (
+        from_edge_list([], 0), from_edge_list([], 7), isolated, complete(6),
+        complete_bipartite(3, 4), spider(17, 10), bipartite_blocks_and_stars(),
+        star(5), from_edge_list([(0, 1), (1, 2), (2, 3)], 4))
+    ] + [(random_gnm(60, 400, 3), False)]
+
+
+LISTERS = {"triangles": list_triangles, "4cycles": list_4cycles,
+           "4cliques": list_4cliques,
+           # Every arc is a row of the first level, cut into batches.
+           "2cliques": lambda g, sink, **kw: list_kcliques(g, 2, sink, **kw)}
+
+
+def per_record(lister, g, take=None):
+    """Records, ``emitted_count`` and ``steps`` of a per-record sink that
+    stops at record number ``take`` (counted from 1), or never."""
+    records = []
+    stats = lister(g, lambda r: records.append(tuple(r))
+                   or len(records) == take)
+    return records, stats.emitted_count, stats.steps
+
+
+def per_batch(lister, g, take=None):
+    """The same through an array sink that stops at the row of record
+    number ``take``; every batch must be a nonempty (r, k) int64 array."""
+    records = []
+
+    def sink(rows):
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+        assert rows.ndim == 2 and len(rows) > 0
+        room = len(rows) if take is None else take - len(records)
+        records.extend(map(tuple, rows[:room].tolist()))
+        return room - 1 if room <= len(rows) and take is not None else None
+
+    stats = lister(g, sink, batches=True)
+    return records, stats.emitted_count, stats.steps
+
+
+@pytest.mark.parametrize("batch", [7, 4096])
+@pytest.mark.parametrize("name", LISTERS)
+def test_batch_sinks_see_what_record_sinks_see(monkeypatch, batch, name):
+    """Same records, order, emitted_count and steps from the array form
+    as from the per-record form, run to the end and stopped at every
+    row (on the random graph at a few)."""
+    monkeypatch.setattr(listing, "_BATCH", batch)
+    lister = LISTERS[name]
+    for g, every in fixed_graphs():
+        want = per_record(lister, g)
+        assert per_batch(lister, g) == want
+        stops = range(1, len(want[0]) + 1) if every else (1, 7, 8, 100)
+        for take in stops:
+            assert per_batch(lister, g, take) == per_record(lister, g, take)
+
+
+@pytest.mark.parametrize("name", LISTERS)
+def test_a_wrapped_batch_sink_still_gets_arrays(name):
+    """A tracer hands the lister a plain function forwarding to the
+    sink, and ``batches`` by keyword; the batches still arrive."""
+    lister = LISTERS[name]
+    g = complete(7)
+    got = []
+    inner = got.append
+    stats = lister(g, lambda rows: inner(rows), batches=True)
+    assert got and all(isinstance(rows, np.ndarray) for rows in got)
+    assert sum(len(rows) for rows in got) == stats.emitted_count
+    assert [tuple(r) for rows in got for r in rows.tolist()] == \
+        per_record(lister, g)[0]
+
+
+@pytest.mark.parametrize("name", LISTERS)
+def test_no_empty_batch_is_handed_over(name):
+    """A graph without the lister's records never calls its sink (the
+    sink in ``per_batch`` checks the same for every batch it gets)."""
+    lister = LISTERS[name]
+    graphs = [from_edge_list([], 0), from_edge_list([], 7)]
+    if name != "2cliques":
+        graphs += [petersen(), star(5), cycle(5)]
+    calls = []
+    for g in graphs:
+        assert lister(g, calls.append, batches=True).emitted_count == 0
+    assert calls == []
 
 
 def test_packed_wedge_keys_fit_in_int64():
