@@ -402,9 +402,12 @@ def per_batch(lister, g, take=None):
     def sink(rows):
         assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
         assert rows.ndim == 2 and len(rows) > 0
-        room = len(rows) if take is None else take - len(records)
-        records.extend(map(tuple, rows[:room].tolist()))
-        return room - 1 if room <= len(rows) and take is not None else None
+        if take is not None and take - len(records) <= len(rows):
+            at = take - len(records) - 1
+            records.extend(map(tuple, rows[:at + 1].tolist()))
+            return at
+        records.extend(map(tuple, rows.tolist()))
+        return None
 
     stats = lister(g, sink, batches=True)
     return records, stats.emitted_count, stats.steps
