@@ -39,6 +39,10 @@ PathLike = Union[str, Path]
 
 CSV_HEADER = "gen,n,m,alpha_proxy,algo,pre_s,emit_s,count,steps"
 
+# The fixed instance parameters of the clique and zero-clique suites.
+_CLIQUE_K, _CLIQUE_SEED = 4, 11
+_ZC_EDGE_PROB, _ZC_WEIGHT_BOUND = 0.5, 50
+
 
 @dataclass
 class BenchRecord:
@@ -145,16 +149,16 @@ def suite_c4_delay(ts: tuple = (10 ** 3, 10 ** 4, 10 ** 5),
                     c4_block_family(t, seed)) for t in ts))
 
 
-def suite_clique_scaling(ns: tuple = (300, 600, 1200), avg_deg: int = 10,
-                         k: int = 4, seed: int = 11) -> list[BenchRecord]:
+def suite_clique_scaling(ns: tuple = (300, 600, 1200),
+                         avg_deg: int = 10) -> list[BenchRecord]:
+    k, seed = _CLIQUE_K, _CLIQUE_SEED
     sizes = ((n, n * avg_deg // 2) for n in ns)
     return _sweep(lambda g, sink: list_kcliques(g, k, sink), f"clique k={k}",
                   ((f"gnm n={n} m={m} seed={seed}", random_gnm(n, m, seed))
                    for n, m in sizes))
 
 
-def suite_zeroclique(n_part: int = 40, s: int = 4, edge_prob: float = 0.5,
-                     weight_bound: int = 50, instances: int = 2,
+def suite_zeroclique(n_part: int = 40, s: int = 4, instances: int = 2,
                      min_buckets: int = 20) -> list[BenchRecord]:
     """One row per admissible bucket: bucket shape plus a triangle pass.
 
@@ -166,8 +170,9 @@ def suite_zeroclique(n_part: int = 40, s: int = 4, edge_prob: float = 0.5,
     k = 3
     rows = []
     for seed in range(instances):
-        wg = random_weighted_kpartite(k, n_part, edge_prob, weight_bound, seed)
-        p = next_prime_above(max(k * k * weight_bound, wg.base.n))
+        wg = random_weighted_kpartite(k, n_part, _ZC_EDGE_PROB,
+                                      _ZC_WEIGHT_BOUND, seed)
+        p = next_prime_above(max(k * k * _ZC_WEIGHT_BOUND, wg.base.n))
         hashed, _ = hash_weights(wg, p, seed)
         partition = partition_intervals(p, s)
         oriented = orient(wg.base)

@@ -207,21 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
                 sp.add_argument(flag, type=kind, required=True)
         sp.add_argument("--out", required=True)
 
-    p_list = sub.add_parser("list", help="stream subgraph records")
-    p_list.set_defaults(run=cmd_list)
-    p_list.add_argument("--input", required=True)
-    p_list.add_argument("--kind", choices=("triangle", "c4", "clique"),
+    shared = argparse.ArgumentParser(add_help=False)  # list and verify
+    shared.add_argument("--input", required=True)
+    shared.add_argument("--kind", choices=("triangle", "c4", "clique"),
                         required=True)
-    p_list.add_argument("--k", type=int)
+    shared.add_argument("--k", type=int)
+
+    p_list = sub.add_parser("list", parents=[shared],
+                            help="stream subgraph records")
+    p_list.set_defaults(run=cmd_list)
     p_list.add_argument("--count-only", action="store_true")
 
-    p_verify = sub.add_parser("verify",
+    p_verify = sub.add_parser("verify", parents=[shared],
                               help="check a lister against the oracle")
     p_verify.set_defaults(run=cmd_verify)
-    p_verify.add_argument("--input", required=True)
-    p_verify.add_argument("--kind", choices=("triangle", "c4", "clique"),
-                          required=True)
-    p_verify.add_argument("--k", type=int)
 
     p_solve = sub.add_parser("solve-zero-clique",
                              help="search for a zero-weight clique")

@@ -91,6 +91,8 @@ def from_edge_list(pairs: Union[Iterable[tuple[int, int]], np.ndarray], n: int,
     unseen so far, so a duplicate comes in the orientation of its second
     occurrence.  The error's ``index`` is that pair's input position.
     """
+    if n < 0:
+        raise ValueError(f"n={n} must be nonnegative")
     given = pairs if isinstance(pairs, np.ndarray) else list(pairs)
     e = _id_array(given, n)
     lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])

@@ -120,8 +120,19 @@ def color_code(g: Graph, k: int, seed: int) -> Graph:
 
 def random_kpartite(k: int, n_part: int, edge_prob: float, seed: int) -> Graph:
     """Random k-partite graph, parts of equal size in contiguous id blocks."""
+    _check_kpartite(k, n_part, edge_prob)
     edges = _cross_part_edges(random.Random(seed), k, n_part, edge_prob)
     return from_edge_list(edges, k * n_part, _block_labels(k, n_part))
+
+
+def _check_kpartite(k: int, n_part: int, edge_prob: float) -> None:
+    """Check the shape both k-partite generators take, before any draw."""
+    if k < 2:
+        raise ValueError(f"k={k} must be at least 2")
+    if n_part < 1:
+        raise ValueError(f"n_part={n_part} must be positive")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge_prob={edge_prob} outside [0, 1]")
 
 
 def _block_labels(k: int, size: int) -> dict[int, int]:
@@ -305,12 +316,7 @@ def random_weighted_kpartite(k: int, n_part: int, edge_prob: float,
     zero-weight clique; it says nothing about uniqueness, and unplanted
     instances may contain one by chance.
     """
-    if k < 2:
-        raise ValueError(f"k={k} must be at least 2")
-    if n_part < 1:
-        raise ValueError(f"n_part={n_part} must be positive")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError(f"edge_prob={edge_prob} outside [0, 1]")
+    _check_kpartite(k, n_part, edge_prob)
     if weight_bound < 1:
         raise ValueError(f"weight_bound={weight_bound} must be at least 1")
     rng = random.Random(seed)

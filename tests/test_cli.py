@@ -47,6 +47,29 @@ def test_gen_polarity_nonprime_fails(tmp_path, capsys):
     assert "not prime" in err
 
 
+@pytest.mark.parametrize("family, bad, message", [
+    ("kpartite", ("--n-part", "-1"), "n_part=-1 must be positive"),
+    ("kpartite", ("--n-part", "0"), "n_part=0 must be positive"),
+    ("kpartite", ("--k", "1"), "k=1 must be at least 2"),
+    ("kpartite", ("--edge-prob", "1.5"), "edge_prob=1.5 outside [0, 1]"),
+    ("kpartite", ("--edge-prob", "-0.1"), "edge_prob=-0.1 outside [0, 1]"),
+    ("zero-clique", ("--n-part", "-1"), "n_part=-1 must be positive"),
+    ("zero-clique", ("--edge-prob", "1.5"), "edge_prob=1.5 outside [0, 1]"),
+])
+def test_gen_kpartite_families_reject_bad_shapes(tmp_path, capsys, family,
+                                                 bad, message):
+    options = {"--k": "3", "--n-part": "4", "--edge-prob": "0.5"}
+    options.update([bad])
+    out_path = tmp_path / "x.txt"
+    code, out, err = run(capsys, "gen", family,
+                         *[s for kv in options.items() for s in kv],
+                         "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out_path.exists()
+
+
 def test_gen_gnm_deterministic(tmp_path, capsys):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     assert run(capsys, "gen", "gnm", "--n", "30", "--m", "80", "--seed", "1",

@@ -54,6 +54,11 @@ def test_from_edge_list_rejects_out_of_range():
         from_edge_list([(-1, 0)], 3)
 
 
+def test_from_edge_list_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="n=-3 must be nonnegative"):
+        from_edge_list([], -3)
+
+
 def test_from_edge_list_takes_an_array():
     g = from_edge_list(np.array([[2, 0], [1, 2]]), 4)
     assert g.neighbors(2) == (0, 1) and g.m == 2

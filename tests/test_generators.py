@@ -302,6 +302,17 @@ def test_weighted_and_plain_kpartite_draw_the_same_edges(k, n_part, edge_prob):
         assert wg.base.part_label == plain.part_label
 
 
+@pytest.mark.parametrize("k, n_part, edge_prob", [(1, 4, 0.5), (3, 0, 0.5),
+                                                   (3, -1, 0.5), (3, 4, 1.5),
+                                                   (3, 4, -0.1)])
+def test_kpartite_generators_reject_the_same_bad_shapes(k, n_part, edge_prob):
+    with pytest.raises(ValueError) as plain:
+        random_kpartite(k, n_part, edge_prob, 0)
+    with pytest.raises(ValueError) as weighted:
+        random_weighted_kpartite(k, n_part, edge_prob, 9, 0)
+    assert str(plain.value) == str(weighted.value)
+
+
 def test_random_weighted_kpartite_planting():
     for seed in range(10):
         wg = random_weighted_kpartite(3, 6, 0.3, 40, seed, planted=True)
