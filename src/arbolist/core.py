@@ -158,9 +158,11 @@ class OrderingResult:
         return tuple(self.array.tolist())
 
 
-# A peeling frontier of fewer vertices than this goes to the Matula-Beck
-# loop: below it a numpy round costs more than a Python step per vertex.
+# A peeling frontier of fewer vertices than this is thin: a numpy round
+# on it costs more than a Python step per vertex, but a short run of such
+# rounds is cheap, so the rounds end only after _THIN_RUN in a row.
 _THIN = 64
+_THIN_RUN = 16
 
 
 def degeneracy_ordering(g: Graph) -> OrderingResult:
@@ -173,11 +175,12 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
     in ascending id, and the next round's frontier is the neighbours it
     left at degree d or less.  d rises to the minimum remaining degree
     only when a round leaves no frontier, and the largest d reached is
-    the degeneracy.  As soon as a frontier holds fewer than ``_THIN``
-    vertices, the Matula-Beck loop (:func:`_matula_beck`) orders the
-    remaining vertices, relabelled in ascending id, with its own tie
-    rule.  So a graph whose first frontier is thin, such as a path or a
-    graph with few vertices of minimum degree, gets exactly the
+    the degeneracy.  The Matula-Beck loop (:func:`_matula_beck`) orders
+    the remaining vertices, relabelled in ascending id, with its own tie
+    rule, once ``_THIN_RUN`` thin frontiers (fewer than ``_THIN``
+    vertices) in a row are followed by one more, as on a long path, or
+    once fewer than ``_THIN`` vertices are left.  So only a graph with
+    fewer than ``_THIN`` non-isolated vertices gets exactly the
     Matula-Beck order.  Each round sorts the rows it removed, so the
     rounds cost O(m log m) in numpy, plus O(n) per rise of d.
     """
@@ -185,20 +188,21 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
     deg = np.diff(indptr)
     alive = deg > 0
     placed = [np.flatnonzero(~alive)[::-1]]
-    level = degeneracy = 0
+    left = g.n - len(placed[0])
+    level = degeneracy = run = 0
     frontier = np.empty(0, np.int64)
-    while True:
+    while left >= _THIN:
         if not len(frontier):
             rest = np.flatnonzero(alive)
-            if not len(rest):
-                break
             level = int(deg[rest].min())
             frontier = rest[deg[rest] == level]
-        if len(frontier) < _THIN:
+        run = run + 1 if len(frontier) < _THIN else 0
+        if run > _THIN_RUN:
             break
         degeneracy = level
         alive[frontier] = False
         placed.append(frontier)
+        left -= len(frontier)
         touched = _rows(indptr, indices, frontier)
         touched, drop = np.unique(touched[alive[touched]], return_counts=True)
         deg[touched] -= drop

@@ -21,8 +21,9 @@ records through one adapter, :func:`_per_record`.
 
 Triangles and k-cliques read one degeneracy orientation
 (:func:`orient`): the ordering, then one sort of the arc keys into a CSR
-in positions.  The ordering peels the bulk of a graph in numpy rounds
-and hands a thin remainder to the Matula-Beck loop
+in positions.  The ordering peels a graph in numpy rounds, through short
+runs of thin frontiers, and hands what is left after a long run, or a
+remainder too small for a round, to the Matula-Beck loop
 (:func:`~arbolist.core.degeneracy_ordering`).  Every k, triangles
 included, is one level-wise numpy scan over the orientation, batched by
 ``_BATCH``.  Cliques are grouped by their earliest vertex in the
@@ -514,9 +515,11 @@ def list_kcliques(g: Graph | Orientation, k: int, sink: Sink, *,
     Emission order: cliques are grouped by their earliest vertex in the
     orientation's order; within a group they follow the rows, which
     :func:`orient` keeps sorted by the position of the later vertices.
-    That order is :func:`~arbolist.core.degeneracy_ordering`'s: a bulk
-    peeling round places its vertices in ascending id, the Matula-Beck
-    tail pops the highest id among equal degrees first.
+    That order is :func:`~arbolist.core.degeneracy_ordering`'s: a
+    peeling round places its vertices in ascending id, and the
+    Matula-Beck loop, which orders what a long run of thin rounds or a
+    graph under ``core._THIN`` vertices leaves, pops the highest id
+    among equal degrees first.
     """
     if k < 2:
         raise KTooSmallError(k)

@@ -214,6 +214,47 @@ def _tuple_ordering(adj):
     return tuple(order), degeneracy, later
 
 
+def _peel_ordering(adj):
+    """The ordering rule over tuple-of-tuples adjacency: isolated
+    vertices in descending id, then level rounds, each taking every
+    remaining vertex of residual degree at most the level in ascending
+    id, until one more thin frontier follows 16 thin ones in a row (the
+    run ``core._THIN_RUN``, pinned here) or fewer than ``core._THIN``
+    vertices remain; the rest in :func:`_tuple_ordering`'s order,
+    relabelled in ascending id."""
+    deg = [len(nbrs) for nbrs in adj]
+    order = [v for v in reversed(range(len(adj))) if not deg[v]]
+    alive = {v for v in range(len(adj)) if deg[v]}
+    level = run = 0
+    frontier = []
+    while len(alive) >= core._THIN:
+        if not frontier:
+            level = min(deg[v] for v in alive)
+            frontier = sorted(v for v in alive if deg[v] == level)
+        run = run + 1 if len(frontier) < core._THIN else 0
+        if run > 16:
+            break
+        alive.difference_update(frontier)
+        order += frontier
+        touched = set()
+        for v in frontier:
+            for u in adj[v]:
+                if u in alive:
+                    deg[u] -= 1
+                    touched.add(u)
+        frontier = sorted(u for u in touched if deg[u] <= level)
+    rest = sorted(alive)
+    new_id = {v: i for i, v in enumerate(rest)}
+    tail, _, _ = _tuple_ordering(tuple(
+        tuple(new_id[u] for u in adj[v] if u in new_id) for v in rest))
+    return tuple(order) + tuple(rest[i] for i in tail)
+
+
+def _shuffled(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return from_edge_list(perm[np.array(list(g.edges())).reshape(-1, 2)], g.n)
+
+
 @pytest.mark.parametrize("make", [
     lambda: polarity_graph(7),
     lambda: c4_block_family(50, 1),
@@ -222,8 +263,11 @@ def _tuple_ordering(adj):
     lambda: from_edge_list([], 0),
     lambda: from_edge_list([(0, 5), (5, 9), (0, 9), (2, 3)], 12),
     lambda: from_edge_list([(7, 3), (3, 9), (9, 7), (9, 19998)], 20000),
+    lambda: path(10**4),
+    lambda: _shuffled(polarity_graph(47), 1),
+    lambda: random_gnm(20000, 10**5, 2),
 ], ids=["polarity-7", "c4-blocks-50", "gnm-300", "k6", "empty", "isolated",
-        "mostly-isolated"])
+        "mostly-isolated", "path-10000", "polarity-47-shuffled", "gnm-20000"])
 def test_csr_graph_orders_and_lists_edges_as_the_tuple_graph(make):
     g = make()
     _assert_core_ordering(g)
@@ -235,11 +279,10 @@ def _assert_core_ordering(g):
     """The ordering's contract: a permutation in which no vertex has more
     than degeneracy-many later neighbours, the degeneracy of the
     Matula-Beck reference and of networkx, the orientation built from
-    that order, and the reference's own order whenever the first
-    frontier of non-isolated vertices is thin."""
+    that order, and exactly the order of :func:`_peel_ordering`."""
     nx = pytest.importorskip("networkx")
     adj = tuple(map(g.neighbors, range(g.n)))
-    ref_order, ref_degeneracy, _ = _tuple_ordering(adj)
+    _, ref_degeneracy, _ = _tuple_ordering(adj)
     res = degeneracy_ordering(g)
     assert res.array.dtype == np.int64 and tuple(res.array) == res.order
     assert sorted(res.order) == list(range(g.n))
@@ -255,9 +298,29 @@ def _assert_core_ordering(g):
     assert (res.degeneracy == ref_degeneracy
             == max(nx.core_number(ng).values(), default=0))
     assert out_lists(orient(g)) == later
-    degrees = [len(a) for a in adj if a]
-    if degrees.count(min(degrees, default=0)) < core._THIN:
-        assert res.order == ref_order
+    assert res.order == _peel_ordering(adj)
+
+
+def test_a_path_hands_over_after_a_run_of_thin_rounds():
+    # Each round takes the two ends of what is left of the path.
+    n, run = 10**4, 16
+    order = degeneracy_ordering(path(n)).order
+    assert order[:2 * run] == sum(((i, n - 1 - i) for i in range(run)), ())
+    middle = path(n - 2 * run)
+    tail, _, _ = _tuple_ordering(tuple(map(middle.neighbors, range(middle.n))))
+    assert order[2 * run:] == tuple(run + v for v in tail)
+
+
+def test_fewer_than_thin_vertices_get_the_matula_beck_order():
+    # 60 non-isolated vertices: one clique of 12 and 16 triangles, under
+    # shuffled ids, with isolated vertices around them.
+    edges = list(combinations(range(12), 2))
+    edges += [(a + i, a + j) for a in range(12, 60, 3)
+              for i, j in ((0, 1), (1, 2), (0, 2))]
+    g = _shuffled(from_edge_list(edges, 90), 3)
+    assert sum(d > 0 for d in np.diff(g.indptr)) < core._THIN
+    adj = tuple(map(g.neighbors, range(g.n)))
+    assert degeneracy_ordering(g).order == _tuple_ordering(adj)[0]
 
 
 @st.composite
@@ -327,6 +390,9 @@ def test_degeneracy_is_max_residual_min_degree(g):
 @settings(max_examples=40, deadline=None)
 @given(small_graphs())
 def test_degeneracy_greedy_picks_minimum(g):
+    # Only the Matula-Beck loop places a vertex of minimum residual
+    # degree every time, and it orders every graph under _THIN vertices.
+    assert g.n < core._THIN
     res = degeneracy_ordering(g)
     alive = set(range(g.n))
     for v in res.order:

@@ -1,0 +1,62 @@
+"""Time the degeneracy ordering and the triangle lister on a fixed sweep.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python3 tools/order_sweep.py
+
+Prints one line per graph: n, m, the degeneracy, the best of five
+``degeneracy_ordering`` times, and one ``list_triangles`` run into an
+array sink (pre, emit, steps).  The graphs are ``random_gnm(n, 5n, 1)``
+at n = 2e4, 5e4, 1e5 and 2e5, a path on 1e5 vertices, and
+``polarity_graph(47)`` with its ids shuffled as the benchmark's seed 1
+shuffles them.  Point PYTHONPATH at another checkout's ``src`` to
+measure that checkout on the same graphs.
+"""
+
+from __future__ import annotations
+
+import random
+from time import perf_counter
+
+import numpy as np
+
+from arbolist import (degeneracy_ordering, from_edge_list, list_triangles,
+                      polarity_graph, random_gnm)
+
+
+def measure(g, repeats: int = 5) -> dict:
+    """The ordering's best time of ``repeats`` and one triangle listing."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = perf_counter()
+        res = degeneracy_ordering(g)
+        best = min(best, perf_counter() - t0)
+    stats = list_triangles(g, lambda batch: None, batches=True)
+    return {"n": g.n, "m": g.m, "degeneracy": res.degeneracy,
+            "order_ms": 1e3 * best, "pre_ms": 1e3 * stats.preprocess_time,
+            "emit_ms": 1e3 * stats.emit_time, "steps": stats.steps}
+
+
+def shuffled_polarity(q: int, seed: int):
+    g = polarity_graph(q)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edge_list([(perm[u], perm[v]) for u, v in g.edges()], g.n)
+
+
+def main() -> None:
+    graphs = [(f"gnm n={n}", lambda n=n: random_gnm(n, 5 * n, 1))
+              for n in (20000, 50000, 100000, 200000)]
+    ids = np.arange(10**5)
+    graphs += [("path n=100000",
+                lambda: from_edge_list(np.stack((ids[:-1], ids[1:]), 1), 10**5)),
+               ("polarity q=47 shuffled", lambda: shuffled_polarity(47, 1))]
+    for name, make in graphs:
+        r = measure(make())
+        print(f"{name:24} n={r['n']} m={r['m']} d={r['degeneracy']} "
+              f"order={r['order_ms']:.1f}ms pre={r['pre_ms']:.1f}ms "
+              f"emit={r['emit_ms']:.1f}ms steps={r['steps']}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
