@@ -16,6 +16,8 @@ import sys
 from time import perf_counter
 from typing import Optional
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import graphio, oracle
 from .core import degeneracy_ordering
@@ -156,7 +158,7 @@ def cmd_solve(args) -> int:
     if args.s is not None:
         s = args.s
     else:
-        largest = max(len(part) for part in wg.parts())
+        largest = int(np.bincount(wg.part, minlength=wg.k).max())
         s = choose_s(largest, args.k, args.epsilon)
     report = solve_zero_kclique(wg, args.k, s, args.seed)
     print(f"p={report.p}")

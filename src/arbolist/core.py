@@ -69,11 +69,16 @@ class Graph:
         i = row.searchsorted(v)
         return bool(i < len(row) and row[i] == v)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield every edge once as (u, v) with u < v, in sorted order."""
+    def edge_array(self) -> np.ndarray:
+        """Every edge once as a row (u, v), u < v, of an (m, 2) int64
+        array in sorted order."""
         source = np.repeat(np.arange(self.n), np.diff(self.indptr))
         up = self.indices > source
-        return zip(source[up].tolist(), self.indices[up].tolist())
+        return np.stack((source[up], self.indices[up]), 1)
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Yield every edge once as (u, v) with u < v, in sorted order."""
+        return zip(*self.edge_array().T.tolist())
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges())
@@ -345,9 +350,13 @@ def validate_kpartite(g: Graph, k: int) -> bool:
     if g.part_label is None:
         raise MissingLabelsError("graph has no part labels")
     labels = g.part_label
-    for v in range(g.n):
-        if v not in labels:
-            raise MissingLabelsError(f"vertex {v} has no part label")
-    if not all(0 <= labels[v] < k for v in range(g.n)):
+    labelled = np.fromiter(map(labels.__contains__, range(g.n)), bool, g.n)
+    if not labelled.all():
+        raise MissingLabelsError(
+            f"vertex {labelled.argmin()} has no part label")
+    # Exact ints, so a label beyond int64 is out of range, not an overflow.
+    part = np.fromiter(map(labels.__getitem__, range(g.n)), object, g.n)
+    if not ((0 <= part) & (part < k)).all():
         return False
-    return all(labels[u] != labels[v] for u, v in g.edges())
+    part = part.astype(np.int64)
+    return not (part[g.indices] == np.repeat(part, np.diff(g.indptr))).any()

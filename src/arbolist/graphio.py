@@ -227,7 +227,7 @@ def read_weighted_kpartite(path: PathLike,
         raise ParseError(path, _linenos(lines)[i],
                          f"edge {tuple(ids[i].tolist())} lies within "
                          f"part {part[i, 0]}")
-    weights = dict(zip(map(tuple, np.sort(ids, axis=1).tolist()), row_weights))
+    weights = dict(zip(zip(*np.sort(ids, axis=1).T.tolist()), row_weights))
     bound = max(map(abs, row_weights), default=0)
     wg = WeightedKPartiteGraph(base, k, weights, bound)
     limit = max_weight(k)
@@ -265,6 +265,6 @@ def write_weighted_kpartite(path: PathLike, wg: WeightedKPartiteGraph,
         if generator_comment:
             fh.write(f"# {generator_comment}\n")
         fh.write(f"# n={wg.base.n} k={wg.k}\n")
-        for u, v in wg.base.edges():
-            fh.write(f"{u} {v} {wg.weight(u, v)}\n")
+        for (u, v), w in zip(wg.ends.tolist(), wg.w.tolist()):
+            fh.write(f"{u} {v} {w}\n")
     _write_labels(path, wg.base)

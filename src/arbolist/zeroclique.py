@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product
+from itertools import combinations, islice, product
 from time import perf_counter
 from typing import Iterator, Mapping, Optional
 
@@ -30,13 +30,15 @@ from .primes import EXACT_BELOW, is_prime, next_prime_above
 Edge = tuple  # (u, v) with u < v
 
 
-def edge_key(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 def pair_order(k: int) -> list[tuple[int, int]]:
     """Canonical order of part pairs: (0,1), (0,2), ..., (k-2,k-1)."""
     return list(combinations(range(k), 2))
+
+
+def _dtype(bound: int):
+    """int64 when every magnitude is below ``bound`` <= 2**63, else object
+    (exact Python ints)."""
+    return np.int64 if bound <= 2 ** 63 else object
 
 
 class WeightedKPartiteGraph:
@@ -44,10 +46,14 @@ class WeightedKPartiteGraph:
 
     The base graph must carry labels forming a proper k-partition, every
     edge must have a weight, and weights stay within [-weight_bound,
-    weight_bound].
+    weight_bound].  ``weights`` is a dict keyed by (u, v) with u < v.  The
+    solver reads arrays built here once, in ``base.edges()`` order:
+    ``ends``, the (m, 2) int64 edges, and ``w``, their weights (int64
+    while C(k,2) weights sum below 2**63, exact ints above); ``part``
+    holds every vertex's part as int64.
     """
 
-    __slots__ = ("base", "k", "weights", "weight_bound", "_parts")
+    __slots__ = ("base", "k", "weights", "weight_bound", "ends", "w", "part")
 
     def __init__(self, base: Graph, k: int, weights: Mapping[Edge, int],
                  weight_bound: int):
@@ -55,31 +61,30 @@ class WeightedKPartiteGraph:
             raise ValueError("base graph labels are not a proper k-partition")
         if weight_bound < 0:
             raise ValueError("weight_bound must be nonnegative")
-        edges = base.edge_set()
-        missing = edges - set(weights)
-        if missing:
-            raise ValueError(f"{len(missing)} edges have no weight")
-        extra = set(weights) - edges
-        if extra:
-            raise ValueError(f"{len(extra)} weighted pairs are not edges")
-        for e, w in weights.items():
-            if abs(w) > weight_bound:
-                raise ValueError(f"|w{e}| = {abs(w)} exceeds bound {weight_bound}")
+        values = list(map(weights.get, base.edges()))
+        if None in values:
+            raise ValueError(f"{values.count(None)} edges have no weight")
+        if len(weights) > base.m:
+            raise ValueError(f"{len(weights) - base.m} weighted pairs are "
+                             "not edges")
+        if max(map(abs, values), default=0) > weight_bound:
+            e, w = next((e, w) for e, w in weights.items()
+                        if abs(w) > weight_bound)
+            raise ValueError(f"|w{e}| = {abs(w)} exceeds bound {weight_bound}")
         self.base = base
         self.k = k
         self.weights = dict(weights)
         self.weight_bound = weight_bound
-        parts: list[list[int]] = [[] for _ in range(k)]
-        assert base.part_label is not None
-        for v in range(base.n):
-            parts[base.part_label[v]].append(v)
-        self._parts = [sorted(p) for p in parts]
+        self.ends = base.edge_array()
+        self.w = np.array(values, _dtype(k * (k - 1) // 2 * weight_bound + 1))
+        self.part = np.fromiter(map(base.part_label.__getitem__,
+                                    range(base.n)), np.int64, base.n)
 
     def parts(self) -> list[list[int]]:
-        return [list(p) for p in self._parts]
+        return [np.flatnonzero(self.part == j).tolist() for j in range(self.k)]
 
     def weight(self, u: int, v: int) -> int:
-        return self.weights[edge_key(u, v)]
+        return self.weights[(u, v) if u < v else (v, u)]
 
 
 def max_weight(k: int) -> int:
@@ -135,16 +140,21 @@ def sample_hash_params(g: WeightedKPartiteGraph, p: int, seed: int) -> HashParam
     return HashParams(p=p, x=x, y=tuple(rows))
 
 
+def hash_edges(g: WeightedKPartiteGraph, params: HashParams) -> np.ndarray:
+    """x*w(u,v) + y[u][part(v)] + y[v][part(u)] mod p for every edge, in
+    ``g.base.edges()`` order: int64 while the terms stay below p *
+    (weight_bound + 2) <= 2**63, exact ints above, as at p ~ 9e12 with
+    weights up to 1e12."""
+    dtype = _dtype(params.p * (g.weight_bound + 2))
+    y = np.array(params.y, dtype).reshape(-1, g.k)
+    offsets = y[g.ends, g.part[g.ends[:, ::-1]]].sum(1)
+    return (params.x * g.w.astype(dtype) + offsets) % params.p
+
+
 def apply_hash_weights(g: WeightedKPartiteGraph,
                        params: HashParams) -> dict[Edge, int]:
     """Hashed weight of each edge: x*w(u,v) + y[u][part(v)] + y[v][part(u)]."""
-    labels = g.base.part_label
-    assert labels is not None
-    p, x, y = params.p, params.x, params.y
-    out: dict[Edge, int] = {}
-    for (u, v), w in g.weights.items():
-        out[(u, v)] = (x * w + y[u][labels[v]] + y[v][labels[u]]) % p
-    return out
+    return dict(zip(g.base.edges(), hash_edges(g, params).tolist()))
 
 
 def hash_weights(g: WeightedKPartiteGraph, p: int,
@@ -227,79 +237,54 @@ def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKe
             yield prefix + (j,)
 
 
-EdgeIndex = list  # index[slot][i]: sorted arc keys, see index_edges()
-
-
-def _dtype(bound: int):
-    """int64 when every magnitude is below ``bound`` <= 2**63, else object
-    (exact Python ints)."""
-    return np.int64 if bound <= 2 ** 63 else object
-
-
-def _arcs(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
+def _arcs(g: WeightedKPartiteGraph, hashed: np.ndarray,
           partition: IntervalPartition, oriented: Orientation):
     """The arcs of ``oriented = orient(g.base)`` in key order, as arrays
-    from one pass over the edges: their keys source * n + target in
-    positions, part-pair slots, hashed intervals and original weights
-    (int64 while C(k,2) weights sum below 2**63, exact ints above)."""
+    read from the instance's: their keys source * n + target in
+    positions, part-pair slots, the intervals of their ``hashed``
+    weights (given in edge order) and their original weights ``g.w``."""
     n, k = oriented.n, g.k
-    ends = np.fromiter(chain.from_iterable(g.weights), np.int64,
-                       2 * len(g.weights)).reshape(-1, 2)
     pos = np.empty(n, np.int64)
     pos[oriented.order] = np.arange(n)
-    src, dst = pos[ends[:, 0]], pos[ends[:, 1]]
+    src, dst = pos[g.ends].T
     keys = np.minimum(src, dst) * n + np.maximum(src, dst)
     by = keys.argsort()
-    part = np.empty(n, np.int64)
-    for j, members in enumerate(g._parts):
-        part[members] = j
-    slot_of = np.empty((k, k), np.int64)
-    for i, (a, b) in enumerate(pair_order(k)):
-        slot_of[a, b] = slot_of[b, a] = i
-    slot = slot_of[part[ends[:, 0]], part[ends[:, 1]]]
-    interval = partition.interval_of(np.fromiter(
-        map(hashed.__getitem__, g.weights), _dtype(partition.p)))
-    weight = np.fromiter(g.weights.values(),
-                         _dtype(k * (k - 1) // 2 * g.weight_bound + 1))
-    return keys[by], slot[by], interval[by].astype(np.int64), weight[by]
+    # The index of the edge's part pair (a, b), a < b, in pair_order(k).
+    a, b = np.sort(g.part[g.ends], 1).T
+    slot = a * (2 * k - a - 1) // 2 + b - a - 1
+    interval = partition.interval_of(hashed)
+    return keys[by], slot[by], interval[by].astype(np.int64), g.w[by]
 
 
 def index_edges(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
                 partition: IntervalPartition,
-                oriented: Orientation) -> EdgeIndex:
-    """Group the arcs once by part pair and hashed interval.
-
-    ``index[slot][i]`` holds the arcs of ``oriented = orient(g.base)``
-    between the parts ``pair_order(k)[slot]`` whose hashed weight falls
-    in interval i, as a sorted int64 array of their keys source * n +
-    target in positions.  One pass over the arcs; :func:`extract_bucket`
-    assembles buckets from these arrays.
+                oriented: Orientation) -> tuple:
+    """The arc table of ``oriented = orient(g.base)`` that buckets are
+    selected from: the arcs' keys source * n + target in positions, in
+    key order, with each arc's part-pair slot and the interval of its
+    hashed weight, plus the number of part pairs, C(k,2).
     """
-    keys, slot, interval, _ = _arcs(g, hashed, partition, oriented)
-    s = partition.s
-    cell = slot * s + interval
-    # A stable sort keeps each cell's keys sorted.
-    by = cell.argsort(kind="stable")
-    cells = np.split(keys[by], cell[by].searchsorted(
-        np.arange(1, len(pair_order(g.k)) * s)))
-    return [cells[i:i + s] for i in range(0, len(cells), s)]
+    in_order = np.fromiter(map(hashed.__getitem__, g.base.edges()),
+                           _dtype(partition.p), g.base.m)
+    keys, slot, interval, _ = _arcs(g, in_order, partition, oriented)
+    return keys, slot, interval, len(pair_order(g.k))
 
 
-def extract_bucket(oriented: Orientation, index: EdgeIndex,
+def extract_bucket(oriented: Orientation, index: tuple,
                    key: BucketKey) -> Orientation:
     """Bucket keeping, per part pair, the edges hashed into the keyed interval.
 
     ``index`` comes from :func:`index_edges` with the same ``oriented``.
-    The bucket's CSR is one concatenate and sort of the C(k,2) arrays
-    ``index[slot][key[slot]]`` under the base order, so a bucket costs
-    its own size plus n, with no validation or :class:`Graph`.  Vertex
-    ids are kept, so its cliques are cliques of the original graph.
+    The bucket's CSR is built from the arcs whose interval is the key's
+    entry at their slot, one mask over the arc table, which is already
+    in key order; no validation or :class:`Graph`.  Vertex ids are kept,
+    so its cliques are cliques of the original graph.
     """
-    if len(key) != len(index):
-        raise ValueError(f"key has {len(key)} entries, expected {len(index)}")
-    keys = np.sort(np.concatenate([index[slot][i]
-                                   for slot, i in enumerate(key)]))
-    return Orientation.from_keys(oriented.n, oriented.order, keys)
+    keys, slot, interval, pairs = index
+    if len(key) != pairs:
+        raise ValueError(f"key has {len(key)} entries, expected {pairs}")
+    kept = np.asarray(key, np.int64)[slot] == interval
+    return Orientation.from_keys(oriented.n, oriented.order, keys[kept])
 
 
 def choose_s(n: int, k: int, epsilon: float) -> int:
@@ -376,11 +361,11 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
         raise ValueError(f"k={k} must be at least 3")
     if g.k != k:
         raise ValueError(f"instance has {g.k} parts, expected {k}")
-    if any(not part for part in g.parts()):
+    if not np.bincount(g.part, minlength=k).all():
         raise ValueError("every part must be nonempty")
     t0 = perf_counter()
     p = next_prime_above(max(k * k * g.weight_bound, g.base.n))
-    hashed, params = hash_weights(g, p, seed)
+    hashed = hash_edges(g, sample_hash_params(g, p, seed))
     partition = partition_intervals(p, s)
     report = SolveReport(witness=None, p=p, s=partition.s)
     t1 = perf_counter()

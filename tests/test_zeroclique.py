@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +79,75 @@ def test_hash_weights_in_range_and_deterministic():
     assert h1 == h2 and p1 == p2
     assert all(0 <= v < 457 for v in h1.values())
     assert set(h1) == wg.base.edge_set()
+
+
+def test_weighted_instance_rejects_bad_weights_by_name():
+    base = from_edge_list([(0, 1), (0, 2), (1, 2)], 3, {0: 0, 1: 1, 2: 2})
+    w = {(0, 1): 1, (0, 2): 2, (1, 2): 3}
+    cases = [
+        (2, w, 3, "base graph labels are not a proper k-partition"),
+        (3, w, -1, "weight_bound must be nonnegative"),
+        (3, {(0, 1): 1}, 3, "2 edges have no weight"),
+        (3, {(1, 0): 1, (0, 2): 2, (1, 2): 3}, 3, "1 edges have no weight"),
+        (3, {**w, (1, 0): 1, (0, 5): 1}, 3, "2 weighted pairs are not edges"),
+        # the first weight beyond the bound in the mapping's order
+        (3, {(1, 2): 3, (0, 1): -7, (0, 2): 9}, 5,
+         "|w(0, 1)| = 7 exceeds bound 5"),
+    ]
+    for k, weights, bound, message in cases:
+        with pytest.raises(ValueError) as err:
+            WeightedKPartiteGraph(base, k, weights, bound)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bound", [10 ** 6, 10 ** 12, 2 * 10 ** 18,
+                                   4 * 10 ** 18])
+def test_hash_edges_is_the_per_edge_formula(bound):
+    """The hash array, in edge order, equals the formula edge by edge.
+
+    W = 1e6 hashes in int64; at W = 1e12 (p about 9e12) x*w passes
+    2**63; at W = 2e18 p itself is above 2**63; at W = 4e18 the weights
+    are exact ints too, since three of them can sum past 2**63.
+    """
+    wg = random_weighted_kpartite(3, 8, 0.6, bound, seed=3)
+    edges = list(wg.base.edges())
+    wg = WeightedKPartiteGraph(wg.base, 3, {**wg.weights, edges[0]: -bound},
+                               bound)
+    assert wg.ends.tolist() == [list(e) for e in edges]
+    assert wg.w.tolist() == [wg.weights[e] for e in edges]
+    assert set(wg.weights) == set(edges)
+    assert wg.w.dtype == (object if bound > 2 ** 63 // 3 else np.int64)
+    p = next_prime_above(9 * bound)
+    labels = wg.base.part_label
+    for seed in range(3):
+        params = sample_hash_params(wg, p, seed)
+        x, y = params.x, params.y
+        want = [(x * wg.weights[u, v] + y[u][labels[v]] + y[v][labels[u]]) % p
+                for u, v in edges]
+        got = zeroclique.hash_edges(wg, params).tolist()
+        assert got == want
+        assert all(type(h) is int for h in got)
+        assert apply_hash_weights(wg, params) == dict(zip(edges, want))
+        if bound >= 10 ** 12:
+            assert x * bound >= 2 ** 63
+    assert (p > 2 ** 63) == (bound > 10 ** 12)
+
+
+def test_sample_hash_params_reads_only_the_documented_fields():
+    """A stand-in with k, weight_bound, base.n and a label list draws the
+    same parameters as the instance, with Python ints in nested tuples."""
+    wg = random_weighted_kpartite(4, 5, 0.5, 10 ** 12, seed=4)
+    labels = [wg.base.part_label[v] for v in range(wg.base.n)]
+    stand_in = SimpleNamespace(k=4, weight_bound=wg.weight_bound,
+                               base=SimpleNamespace(n=wg.base.n,
+                                                    part_label=labels))
+    p = next_prime_above(16 * wg.weight_bound)
+    params = sample_hash_params(stand_in, p, seed=5)
+    assert params == sample_hash_params(wg, p, seed=5)
+    assert type(params.y) is tuple
+    assert all(type(row) is tuple for row in params.y)
+    assert all(type(params.y[v][j]) is int
+               for v in range(wg.base.n) for j in range(4))
 
 
 def test_hash_rejects_bad_modulus():
@@ -280,6 +350,25 @@ def test_extract_bucket_rejects_wrong_key_length():
     oriented, index = _indexed(wg, hashed, partition_intervals(101, 2))
     with pytest.raises(ValueError):
         extract_bucket(oriented, index, (0, 0))
+
+
+def test_extract_bucket_key_length_counts_pairs_without_edges():
+    """The index carries C(k,2) even when a part pair has no edge."""
+    base = from_edge_list([(0, 1), (0, 2)], 3, {0: 0, 1: 1, 2: 2})
+    wg = WeightedKPartiteGraph(base, 3, {(0, 1): 1, (0, 2): -1}, 1)
+    hashed, _ = hash_weights(wg, 11, seed=0)
+    oriented, index = _indexed(wg, hashed, partition_intervals(11, 1))
+    bucket = extract_bucket(oriented, index, (0, 0, 0))
+    assert _as_graph(bucket).edge_set() == base.edge_set()
+    for key in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            extract_bucket(oriented, index, key)
+    empty = WeightedKPartiteGraph(from_edge_list([], 4, dict(enumerate(
+        range(4)))), 4, {}, 0)
+    oriented, index = _indexed(empty, {}, partition_intervals(17, 2))
+    assert extract_bucket(oriented, index, (1,) * 6).m == 0
+    with pytest.raises(ValueError):
+        extract_bucket(oriented, index, (1,) * 5)
 
 
 def _reference_solve(wg, k, s, seed):
