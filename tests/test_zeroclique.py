@@ -81,7 +81,7 @@ def test_hash_weights_in_range_and_deterministic():
     assert set(h1) == wg.base.edge_set()
 
 
-def test_weighted_instance_rejects_bad_weights_by_name():
+def test_weighted_instance_rejects_bad_weights():
     base = from_edge_list([(0, 1), (0, 2), (1, 2)], 3, {0: 0, 1: 1, 2: 2})
     w = {(0, 1): 1, (0, 2): 2, (1, 2): 3}
     cases = [
