@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from functools import partial
 from time import perf_counter
 from typing import Optional
 
@@ -116,13 +117,8 @@ def cmd_list(args) -> int:
         print(f"COUNT {args.kind} {stats.emitted_count}")
     else:
         # Bound when the command runs, so a replaced sys.stdout is used.
-        write = sys.stdout.write
-
-        def sink(rows) -> None:
-            # One write per batch of records.  Returns None: write's
-            # character count would mean "stop at that row".
-            write((line * len(rows)) % tuple(rows.ravel().tolist()))
-
+        # write_rows returns None: a number would mean "stop at that row".
+        sink = partial(graphio.write_rows, sys.stdout, line)
         stats = lister(g, sink, batches=True)
     print(_stats_line(stats, load))
     return EXIT_OK

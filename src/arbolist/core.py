@@ -37,9 +37,8 @@ class Graph:
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  part_label: Optional[dict[int, int]] = None):
-        # Trusted constructor: the CSR must already be sorted, symmetric
-        # and loop-free.  Everyone else goes through from_edge_list().
-        indptr.flags.writeable = indices.flags.writeable = False
+        # Trusted constructor: the CSR must already be sorted, symmetric,
+        # loop-free and read-only; everyone else goes through from_edge_list().
         self.n = n
         self.m = len(indices) // 2
         self.indptr, self.indices = indptr, indices
@@ -112,8 +111,15 @@ def from_edge_list(pairs: Union[Iterable[tuple[int, int]], np.ndarray], n: int,
         raise _pair_error(given[i], n, i)
     # CSR: both orientations of every edge, sorted by (source, target).
     arcs = np.sort(np.concatenate((key, hi * n + lo)))
-    indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
-    return Graph(n, indptr, arcs % n, part_label)
+    return Graph(n, *csr_from_keys(arcs, n), part_label)
+
+
+def csr_from_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only CSR of the ascending arc keys source * n + target."""
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    indices = keys % n
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
 
 
 def _id_array(given, n: int) -> np.ndarray:
@@ -214,8 +220,7 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
         frontier = touched[deg[touched] <= level]
     rest = np.flatnonzero(alive)
     if len(rest):
-        if len(rest) < g.n:
-            indptr, indices = _residual(indptr, indices, rest, deg)
+        indptr, indices = _residual(indptr, indices, rest)
         tail, d = _matula_beck(indptr, indices)
         placed.append(rest[tail])
         degeneracy = max(degeneracy, d)
@@ -226,24 +231,24 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
 
 def _rows(indptr: np.ndarray, indices: np.ndarray,
           vertices: np.ndarray) -> np.ndarray:
-    """The CSR rows of ``vertices`` (at least one), concatenated."""
+    """The CSR rows of ``vertices``, concatenated."""
     starts = indptr[vertices]
     lengths = indptr[vertices + 1] - starts
     ends = np.cumsum(lengths)
-    at = np.arange(ends[-1])
+    at = np.arange(lengths.sum())
     return indices[at + np.repeat(starts - ends + lengths, lengths)]
 
 
-def _residual(indptr: np.ndarray, indices: np.ndarray, rest: np.ndarray,
-              deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residual(indptr: np.ndarray, indices: np.ndarray,
+              rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR induced on the ascending ids ``rest``, relabelled to
-    0..len(rest)-1; ``deg`` holds their degrees in it."""
+    0..len(rest)-1."""
+    n = len(rest)
     new_id = np.full(len(indptr) - 1, -1)
-    new_id[rest] = np.arange(len(rest))
+    new_id[rest] = np.arange(n)
     targets = new_id[_rows(indptr, indices, rest)]
-    sub_indptr = np.zeros(len(rest) + 1, np.int64)
-    np.cumsum(deg[rest], out=sub_indptr[1:])
-    return sub_indptr, targets[targets >= 0]
+    sources = np.repeat(np.arange(n), indptr[rest + 1] - indptr[rest])
+    return csr_from_keys((sources * n + targets)[targets >= 0], n)
 
 
 def _matula_beck(indptr: np.ndarray,
@@ -328,16 +333,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     for v in old_ids:
         if not 0 <= v < g.n:
             raise VertexOutOfRangeError(v, g.n)
-    new_id = np.full(g.n, -1)
-    new_id[old_ids] = np.arange(len(old_ids))
-    u, w = np.repeat(new_id, np.diff(g.indptr)), new_id[g.indices]
-    kept = (u >= 0) & (u < w)
     labels = None
     if g.part_label is not None:
         labels = {i: g.part_label[old]
                   for i, old in enumerate(old_ids) if old in g.part_label}
-    return (from_edge_list(np.stack((u[kept], w[kept]), 1), len(old_ids),
-                           labels), tuple(old_ids))
+    csr = _residual(g.indptr, g.indices, np.array(old_ids, np.int64))
+    return Graph(len(old_ids), *csr, labels), tuple(old_ids)
 
 
 def validate_kpartite(g: Graph, k: int) -> bool:
@@ -347,16 +348,20 @@ def validate_kpartite(g: Graph, k: int) -> bool:
     check then passes iff all labels are in 0..k-1 and no edge joins two
     vertices of the same part.
     """
-    if g.part_label is None:
-        raise MissingLabelsError("graph has no part labels")
-    labels = g.part_label
-    labelled = np.fromiter(map(labels.__contains__, range(g.n)), bool, g.n)
-    if not labelled.all():
-        raise MissingLabelsError(
-            f"vertex {labelled.argmin()} has no part label")
-    # Exact ints, so a label beyond int64 is out of range, not an overflow.
-    part = np.fromiter(map(labels.__getitem__, range(g.n)), object, g.n)
+    part = label_array(g)
     if not ((0 <= part) & (part < k)).all():
         return False
     part = part.astype(np.int64)
     return not (part[g.indices] == np.repeat(part, np.diff(g.indptr))).any()
+
+
+def label_array(g: Graph) -> np.ndarray:
+    """Every vertex's part label as an exact int, in an object array;
+    MissingLabelsError if the graph or one of its vertices has none."""
+    if g.part_label is None:
+        raise MissingLabelsError("graph has no part labels")
+    part = np.fromiter(map(g.part_label.get, range(g.n)), object, g.n)
+    missing = np.equal(part, None)
+    if missing.any():
+        raise MissingLabelsError(f"vertex {missing.argmax()} has no part label")
+    return part

@@ -22,7 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Graph, from_edge_list
+from . import listing
+from .core import Graph, from_edge_list, label_array
 from .errors import (
     DuplicateEdgeError,
     ParseError,
@@ -220,7 +221,7 @@ def read_weighted_kpartite(path: PathLike,
         raise ParseError(path, 0, "weighted k-partite file needs a labels file")
     k = header_k if header_k is not None else 1 + max(labels.values(), default=0)
     base = _build(path, lines, ids, n, labels)
-    part = np.fromiter(labels.values(), np.int64, n)[ids]
+    part = label_array(base).astype(np.int64)[ids]
     same = part[:, 0] == part[:, 1]
     if same.any():
         i = int(same.argmax())
@@ -239,32 +240,33 @@ def read_weighted_kpartite(path: PathLike,
     return wg
 
 
-def _write_labels(path: PathLike, g: Graph) -> None:
-    assert g.part_label is not None
-    with open(f"{path}.labels", "w", encoding="ascii") as fh:
-        for v in range(g.n):
-            fh.write(f"{g.part_label[v]}\n")
+def write_rows(fh, line: str, rows: np.ndarray) -> None:
+    """Write each row of the 2-D integer array ``rows`` to ``fh`` as
+    ``line % row``, one write per ``listing._BATCH`` rows."""
+    for lo in range(0, len(rows), listing._BATCH):
+        batch = rows[lo:lo + listing._BATCH]
+        fh.write((line * len(batch)) % tuple(batch.ravel().tolist()))
+
+
+def _write(path: PathLike, comment: Optional[str], header: str, line: str,
+           rows: np.ndarray, labels: Optional[np.ndarray]) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# {comment}\n# {header}\n" if comment else f"# {header}\n")
+        write_rows(fh, line, rows)
+    if labels is not None:
+        with open(f"{path}.labels", "w", encoding="ascii") as fh:
+            write_rows(fh, "%d\n", labels[:, None])
 
 
 def write_edge_list(path: PathLike, g: Graph,
                     generator_comment: Optional[str] = None) -> None:
-    """Write the graph; a labeled graph also gets a .labels sibling."""
-    with open(path, "w", encoding="ascii") as fh:
-        if generator_comment:
-            fh.write(f"# {generator_comment}\n")
-        fh.write(f"# n={g.n}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
-    if g.part_label is not None:
-        _write_labels(path, g)
+    """Write the graph; a labeled graph also gets a .labels sibling.  It
+    must label every vertex, else MissingLabelsError and no file."""
+    _write(path, generator_comment, f"n={g.n}", "%d %d\n", g.edge_array(),
+           None if g.part_label is None else label_array(g))
 
 
 def write_weighted_kpartite(path: PathLike, wg: WeightedKPartiteGraph,
                             generator_comment: Optional[str] = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        if generator_comment:
-            fh.write(f"# {generator_comment}\n")
-        fh.write(f"# n={wg.base.n} k={wg.k}\n")
-        for (u, v), w in zip(wg.ends.tolist(), wg.w.tolist()):
-            fh.write(f"{u} {v} {w}\n")
-    _write_labels(path, wg.base)
+    _write(path, generator_comment, f"n={wg.base.n} k={wg.k}", "%d %d %d\n",
+           np.column_stack((wg.ends, wg.w)), label_array(wg.base))

@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Graph, degeneracy_ordering
+from .core import Graph, csr_from_keys, degeneracy_ordering
 from .errors import KTooSmallError
 
 
@@ -150,10 +150,7 @@ class Orientation(NamedTuple):
                   keys: np.ndarray) -> "Orientation":
         """The orientation whose arcs are the sorted keys source * n +
         target, in positions of ``order``."""
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        indices = keys % n
-        indptr.flags.writeable = indices.flags.writeable = False
-        return cls(n, len(keys), order, indptr, indices)
+        return cls(n, len(keys), order, *csr_from_keys(keys, n))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield every edge once as (u, v) with u < v."""

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .core import Graph, validate_kpartite
+from .core import Graph, label_array, validate_kpartite
 from .errors import BadEpsilonError, BadModulusError, BadSError
 from .listing import CliqueRecord, Orientation, orient, scan_cliques
 from .primes import EXACT_BELOW, is_prime, next_prime_above
@@ -77,8 +77,7 @@ class WeightedKPartiteGraph:
         self.weight_bound = weight_bound
         self.ends = base.edge_array()
         self.w = np.array(values, _dtype(k * (k - 1) // 2 * weight_bound + 1))
-        self.part = np.fromiter(map(base.part_label.__getitem__,
-                                    range(base.n)), np.int64, base.n)
+        self.part = label_array(base).astype(np.int64)
 
     def parts(self) -> list[list[int]]:
         return [np.flatnonzero(self.part == j).tolist() for j in range(self.k)]

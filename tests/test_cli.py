@@ -12,6 +12,7 @@ from time import perf_counter
 import pytest
 
 import arbolist
+from arbolist import from_edge_list
 from arbolist.bench import c4_block_family
 from arbolist.cli import main
 from arbolist.generators import polarity_graph, random_gnm
@@ -251,6 +252,27 @@ def test_list_writes_each_batch_of_records_in_one_call(tmp_path, monkeypatch,
         "".join(line % tuple(r) for r in rows.tolist()) for rows in batches]
     assert "".join(out.writes[len(batches):]).startswith("STATS pre=")
     assert f" count={records} " in "".join(out.writes)
+
+
+def test_list_c4_prints_a_batch_larger_than_the_batch_size(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    # In K(2,6) one wedge group pairs its first member with five others,
+    # a batch of its own beyond _BATCH = 3 rows.
+    monkeypatch.setattr(listing, "_BATCH", 3)
+    path = str(tmp_path / "k26.txt")
+    write_edge_list(path, from_edge_list(
+        [(i, 2 + j) for i in range(2) for j in range(6)], 8))
+    batches = []
+    list_4cycles(read_edge_list(path), batches.append, batches=True)
+    assert max(map(len, batches)) > listing._BATCH
+    code, out, _ = run(capsys, "list", "--input", path, "--kind", "c4")
+    assert code == 0
+    records = "".join("C4 %d %d %d %d\n" % tuple(r)
+                      for rows in batches for r in rows.tolist())
+    assert out.startswith(records)
+    assert out[len(records):].startswith("STATS pre=")
+    assert " count=15 " in out
 
 
 def test_list_reader_closing_the_pipe_exits_2_without_traceback(tmp_path):

@@ -434,14 +434,31 @@ def test_induced_subgraph_c5_example():
     assert sub.has_edge(0, 1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_graphs(), st.randoms(use_true_random=False))
-def test_induced_subgraph_preserves_adjacency(g, rnd):
-    verts = sorted(rnd.sample(range(g.n), rnd.randint(0, g.n)))
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False),
+       st.sampled_from(["unlabelled", "labelled", "partly labelled"]))
+def test_induced_subgraph_preserves_adjacency(g, rnd, labelling):
+    if labelling != "unlabelled":
+        labels = {v: rnd.randrange(3) for v in range(g.n)
+                  if labelling == "labelled" or rnd.random() < 0.5}
+        g = from_edge_list(g.edges(), g.n, labels)
+    verts = rnd.sample(range(g.n), rnd.randint(0, g.n))
     sub, ids = induced_subgraph(g, verts)
+    assert ids == tuple(sorted(verts))
     assert sub.n == len(verts)
     for i, j in combinations(range(sub.n), 2):
         assert sub.has_edge(i, j) == g.has_edge(ids[i], ids[j])
+    # The CSR is the one built from the kept pairs: rows sorted ascending.
+    new = {old: i for i, old in enumerate(ids)}
+    want = from_edge_list([(new[u], new[v]) for u, v in g.edges()
+                           if u in new and v in new], sub.n)
+    assert np.array_equal(sub.indptr, want.indptr)
+    assert np.array_equal(sub.indices, want.indices)
+    if g.part_label is None:
+        assert sub.part_label is None
+    else:
+        assert sub.part_label == {new[v]: label for v, label
+                                  in g.part_label.items() if v in new}
 
 
 def test_validate_kpartite():
@@ -453,5 +470,12 @@ def test_validate_kpartite():
     assert not validate_kpartite(bad, 2)
 
     unlabeled = from_edge_list([(0, 1)], 2)
-    with pytest.raises(MissingLabelsError):
+    with pytest.raises(MissingLabelsError, match="graph has no part labels"):
         validate_kpartite(unlabeled, 2)
+
+    partial = from_edge_list([(0, 1)], 3, {0: 0, 2: 1})
+    with pytest.raises(MissingLabelsError, match="vertex 1 has no part label"):
+        validate_kpartite(partial, 2)
+
+    huge = from_edge_list([(0, 1)], 2, {0: 0, 1: 2 ** 64 + 1})
+    assert not validate_kpartite(huge, 2)

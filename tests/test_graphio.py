@@ -11,12 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from arbolist import (
+    MissingLabelsError,
     ParseError,
     WeightedKPartiteGraph,
     from_edge_list,
+    pad_with_c4free,
+    random_kpartite,
     random_weighted_kpartite,
 )
-from arbolist import graphio
+from arbolist import graphio, listing
 from arbolist.graphio import (
     ID_LIMIT,
     read_edge_list,
@@ -54,6 +57,64 @@ def test_round_trip_labels(tmp_path):
     assert (tmp_path / "lab.txt.labels").exists()
     back = read_edge_list(p)
     assert back.part_label == {0: 0, 1: 1, 2: 0}
+
+
+def test_writer_rejects_a_partly_labelled_graph_before_writing(tmp_path):
+    # The padding vertices 12..24 carry no label.
+    g = pad_with_c4free(random_kpartite(3, 4, 0.5, 1), 1, 3)
+    assert (g.n, len(g.part_label)) == (25, 12)
+    p = tmp_path / "padded.txt"
+    with pytest.raises(MissingLabelsError, match="vertex 12 has no part label"):
+        write_edge_list(p, g)
+    assert not p.exists()
+    assert not (tmp_path / "padded.txt.labels").exists()
+
+
+def _per_row_text(header: str, rows, labels) -> tuple[str, str]:
+    """A writer's file and labels file, written one f-string per row."""
+    text = "# gen\n" + header + "".join(
+        " ".join(f"{x}" for x in row) + "\n" for row in rows)
+    return text, "".join(f"{labels[v]}\n" for v in range(len(labels)))
+
+
+@pytest.mark.parametrize("g", [
+    from_edge_list([(u, v) for u in range(6) for v in range(u + 1, 6)], 6,
+                   {v: v % 4 + 2 ** 40 for v in range(6)}),
+    from_edge_list([], 4, {v: 0 for v in range(4)}),
+    from_edge_list([], 0, {}),
+    from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0)], 5),
+], ids=["k6-labelled", "edgeless", "n0", "unlabelled"])
+def test_edge_list_writer_matches_per_row_text(tmp_path, monkeypatch, g):
+    monkeypatch.setattr(listing, "_BATCH", 3)
+    p = tmp_path / "g.txt"
+    write_edge_list(p, g, generator_comment="gen")
+    text, labels = _per_row_text(f"# n={g.n}\n", g.edges(),
+                                 g.part_label or {})
+    assert p.read_text() == text
+    labels_path = tmp_path / "g.txt.labels"
+    if g.part_label is None:
+        assert not labels_path.exists()
+    else:
+        assert labels_path.read_text() == labels
+
+
+@pytest.mark.parametrize("weights", [
+    {(0, 1): 5, (0, 2): -7, (1, 3): 0, (2, 3): 11, (0, 3): 3},
+    {(0, 1): 2 ** 64, (0, 2): -2 ** 63 - 1, (1, 3): 0, (2, 3): 10 ** 30,
+     (0, 3): -1},
+    {},
+], ids=["int64", "beyond-int64", "edgeless"])
+def test_weighted_writer_matches_per_row_text(tmp_path, monkeypatch, weights):
+    monkeypatch.setattr(listing, "_BATCH", 3)
+    base = from_edge_list(list(weights), 4, {0: 0, 1: 1, 2: 1, 3: 2})
+    wg = WeightedKPartiteGraph(base, 3, weights,
+                               max(map(abs, weights.values()), default=0))
+    p = tmp_path / "w.txt"
+    write_weighted_kpartite(p, wg, generator_comment="gen")
+    rows = [(u, v, weights[u, v]) for u, v in base.edges()]
+    text, labels = _per_row_text("# n=4 k=3\n", rows, base.part_label)
+    assert p.read_text() == text
+    assert (tmp_path / "w.txt.labels").read_text() == labels
 
 
 def test_write_is_deterministic(tmp_path):
