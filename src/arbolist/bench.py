@@ -17,6 +17,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
+import numpy as np
+
 from .core import Graph, degeneracy_ordering, from_edge_list
 from .generators import polarity_graph, random_gnm, random_weighted_kpartite
 from .primes import next_prime_above
@@ -130,11 +132,10 @@ def c4_block_family(t: int, seed: int) -> Graph:
     n = core.n + 4 * t
     ids = list(range(core.n, n))
     random.Random(seed).shuffle(ids)
-    edges = list(core.edges())
-    for b in range(t):
-        a0, a1, b0, b1 = ids[4 * b:4 * b + 4]
-        edges.extend(((a0, b0), (a0, b1), (a1, b0), (a1, b1)))
-    return from_edge_list(edges, n)
+    # Block (a0, a1, b0, b1) has the edges a0-b0, a0-b1, a1-b0 and a1-b1.
+    blocks = np.array(ids, dtype=np.int64).reshape(t, 4)
+    edges = blocks[:, [0, 2, 0, 3, 1, 2, 1, 3]].reshape(-1, 2)
+    return from_edge_list(np.concatenate((core.edge_array(), edges)), n)
 
 
 def suite_triangle_scaling(qs: tuple = (11, 23, 47)) -> list[BenchRecord]:

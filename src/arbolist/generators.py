@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Graph, from_edge_list, validate_kpartite
+from .core import Graph, from_edge_list, label_array, validate_kpartite
 from .errors import (
     BadSigmaError,
     MissingLabelsError,
@@ -96,11 +96,14 @@ def apply_part_labels(g: Graph, labels: list[int]) -> Graph:
     """Attach the given labels and drop every intra-part edge."""
     if len(labels) != g.n:
         raise ValueError(f"got {len(labels)} labels for {g.n} vertices")
-    for v, lab in enumerate(labels):
-        if lab < 0:
-            raise ValueError(f"negative label {lab} at vertex {v}")
-    kept = [(u, v) for u, v in g.edges() if labels[u] != labels[v]]
-    return from_edge_list(kept, g.n, {v: labels[v] for v in range(g.n)})
+    part = np.asarray(labels)
+    negative = np.flatnonzero(part < 0)
+    if len(negative):
+        v = int(negative[0])
+        raise ValueError(f"negative label {labels[v]} at vertex {v}")
+    e = g.edge_array()
+    return from_edge_list(e[part[e[:, 0]] != part[e[:, 1]]], g.n,
+                          dict(enumerate(labels)))
 
 
 def color_code(g: Graph, k: int, seed: int) -> Graph:
@@ -217,30 +220,25 @@ def triangle_to_4cycle_transform(g: Graph) -> ReductionInstance:
         proper = False
     if not proper:
         raise NotTripartiteError("labels are not a proper tripartition")
-    labels = g.part_label
-    assert labels is not None
-    c_ids = sorted(v for v in range(g.n) if labels[v] == 2)
-    copy_of = {c: g.n + i for i, c in enumerate(c_ids)}
+    part = label_array(g).astype(np.int64)
+    c_ids = np.flatnonzero(part == 2)
     n_out = g.n + len(c_ids)
-    edges: list[tuple[int, int]] = []
-    for u, v in g.edges():
-        lu, lv = labels[u], labels[v]
-        if {lu, lv} == {0, 2}:
-            a = u if lu == 0 else v
-            c = v if lu == 0 else u
-            edges.append((a, copy_of[c]))
-        else:
-            edges.append((u, v))
-    matching = [(c, copy_of[c]) for c in c_ids]
-    edges.extend(matching)
-    out_labels = dict(labels)
-    for c in c_ids:
-        out_labels[copy_of[c]] = 3
-    out = from_edge_list(edges, n_out, out_labels)
+    # copy[v] is v's C' vertex for a C vertex v, else v itself.
+    copy = np.arange(g.n)
+    copy[c_ids] = np.arange(g.n, n_out)
+    e = g.edge_array()
+    # The partition is proper, so an edge's labels sum to 2 iff it is A-C.
+    ac = part[e].sum(1) == 2
+    e[ac] = copy[e[ac]]
+    matching = np.stack((c_ids, copy[c_ids]), 1)
+    sources, copies = matching.T.tolist()
+    out_labels = dict(g.part_label)
+    out_labels.update(dict.fromkeys(copies, 3))
+    out = from_edge_list(np.concatenate((e, matching)), n_out, out_labels)
     return ReductionInstance(
         graph=out,
-        matching=frozenset(matching),
-        copy_to_source={copy_of[c]: c for c in c_ids},
+        matching=frozenset(zip(sources, copies)),
+        copy_to_source=dict(zip(copies, sources)),
         source_triangle_count=count_triangles(g),
         source_4cycle_count=count_4cycles(g),
     )
@@ -259,12 +257,12 @@ def pad_with_c4free(g: Graph, copies: int, q: int) -> Graph:
     if copies == 0:
         return g
     pad = polarity_graph(q)
-    edges = list(g.edges())
-    for i in range(copies):
-        offset = g.n + i * pad.n
-        edges.extend((offset + u, offset + v) for u, v in pad.edges())
+    offsets = g.n + pad.n * np.arange(copies)
+    padding = pad.edge_array() + offsets[:, None, None]
     labels = dict(g.part_label) if g.part_label is not None else None
-    return from_edge_list(edges, g.n + copies * pad.n, labels)
+    return from_edge_list(
+        np.concatenate((g.edge_array(), padding.reshape(-1, 2))),
+        g.n + copies * pad.n, labels)
 
 
 def sparse_triangle_instance(n_param: int, sigma: float, seed: int) -> Graph:
@@ -301,7 +299,7 @@ def sparse_triangle_instance(n_param: int, sigma: float, seed: int) -> Graph:
                 edges.add(e)
                 deg[x] += 1
                 deg[y] += 1
-    return from_edge_list(sorted(edges), n, _block_labels(3, part))
+    return from_edge_list(edges, n, _block_labels(3, part))
 
 
 def random_weighted_kpartite(k: int, n_part: int, edge_prob: float,

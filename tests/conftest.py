@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import hypothesis.strategies as st
+import numpy as np
 
 from arbolist import Graph, from_edge_list
 
@@ -52,6 +53,14 @@ def petersen() -> Graph:
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return from_edge_list(edges, 10)
+
+
+def assert_same_graph(got: Graph, want: Graph) -> None:
+    """The same CSR, entry for entry, and the same part labels."""
+    assert got.n == want.n
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.part_label == want.part_label
 
 
 def out_lists(oriented):

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from arbolist import count_4cycles
+from arbolist import count_4cycles, from_edge_list, polarity_graph
 from arbolist.bench import (
+    _C4_CORE_Q,
     CSV_HEADER,
     BenchRecord,
     c4_block_family,
@@ -13,6 +16,8 @@ from arbolist.bench import (
     suite_zeroclique,
     write_csv,
 )
+
+from .conftest import assert_same_graph
 
 
 def _row(gen="gnm n=5 m=4 seed=0", steps=7):
@@ -52,6 +57,24 @@ def test_c4_block_family_counts():
     for t in (0, 1, 5, 40):
         g = c4_block_family(t, seed=3)
         assert count_4cycles(g) == t
+
+
+def _c4_blocks_per_edge(t, seed):
+    core = polarity_graph(_C4_CORE_Q)
+    n = core.n + 4 * t
+    ids = list(range(core.n, n))
+    random.Random(seed).shuffle(ids)
+    edges = list(core.edges())
+    for b in range(t):
+        a0, a1, b0, b1 = ids[4 * b:4 * b + 4]
+        edges.extend(((a0, b0), (a0, b1), (a1, b0), (a1, b1)))
+    return from_edge_list(edges, n)
+
+
+@pytest.mark.parametrize("t", [0, 1, 300])
+@pytest.mark.parametrize("seed", [0, 1, 7, 12])
+def test_c4_block_family_matches_per_edge_blocks(t, seed):
+    assert_same_graph(c4_block_family(t, seed), _c4_blocks_per_edge(t, seed))
 
 
 def test_c4_block_family_sizes():

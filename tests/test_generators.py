@@ -31,7 +31,7 @@ from arbolist import (
     validate_kpartite,
 )
 
-from .conftest import complete
+from .conftest import assert_same_graph, complete
 
 
 def test_polarity_small_shapes():
@@ -113,6 +113,22 @@ def test_apply_part_labels_drops_intra_part_edges():
     assert validate_kpartite(labeled, 2)
 
 
+@pytest.mark.parametrize("n, m, k, seed", [(0, 0, 2, 0), (3, 3, 3, 1),
+                                           (30, 120, 3, 2), (60, 400, 4, 3)])
+def test_apply_part_labels_matches_a_per_edge_filter(n, m, k, seed):
+    g = random_gnm(n, m, seed)
+    rng = random.Random(seed)
+    labels = [rng.randrange(k) for _ in range(n)]
+    kept = [(u, v) for u, v in g.edges() if labels[u] != labels[v]]
+    want = from_edge_list(kept, n, {v: labels[v] for v in range(n)})
+    assert_same_graph(apply_part_labels(g, labels), want)
+
+
+def test_apply_part_labels_names_the_first_negative_label():
+    with pytest.raises(ValueError, match=r"^negative label -2 at vertex 3$"):
+        apply_part_labels(complete(5), [0, 1, 0, -2, -1])
+
+
 def test_color_code_forced_label_cases():
     # with k parts and 3 vertices, seeds realize every label pattern;
     # check the two canonical outcomes through apply_part_labels instead
@@ -180,6 +196,48 @@ def test_transform_matching_is_perfect_on_copies():
     assert set(c_vertices) <= matched
 
 
+def _transform_per_edge(g):
+    """The rewrite edge by edge: (graph, matching, copy_to_source)."""
+    labels = g.part_label
+    c_ids = sorted(v for v in range(g.n) if labels[v] == 2)
+    copy_of = {c: g.n + i for i, c in enumerate(c_ids)}
+    edges = []
+    for u, v in g.edges():
+        lu, lv = labels[u], labels[v]
+        if {lu, lv} == {0, 2}:
+            a, c = (u, v) if lu == 0 else (v, u)
+            edges.append((a, copy_of[c]))
+        else:
+            edges.append((u, v))
+    matching = [(c, copy_of[c]) for c in c_ids]
+    out_labels = dict(labels)
+    out_labels.update((copy_of[c], 3) for c in c_ids)
+    graph = from_edge_list(edges + matching, g.n + len(c_ids), out_labels)
+    return graph, frozenset(matching), {copy_of[c]: c for c in c_ids}
+
+
+def _tripartite_cases():
+    # Block parts (every A id below every C id) and colour-coded parts
+    # (A and C ids interleaved), then no part-2 vertex, then n = 0.
+    for seed in range(6):
+        yield random_kpartite(3, 2 + seed, 0.5, seed)
+        yield color_code(random_gnm(40, 150, seed), 3, seed)
+    yield from_edge_list([(0, 1), (1, 2)], 3, {0: 0, 1: 1, 2: 0})
+    yield from_edge_list([], 0, {})
+
+
+@pytest.mark.parametrize("g", list(_tripartite_cases()))
+def test_transform_matches_a_per_edge_rewrite(g):
+    inst = triangle_to_4cycle_transform(g)
+    graph, matching, copy_to_source = _transform_per_edge(g)
+    assert_same_graph(inst.graph, graph)
+    assert inst.matching == matching
+    assert inst.copy_to_source == copy_to_source
+    assert all(type(x) is int for pair in inst.matching for x in pair)
+    assert all(type(x) is int for item in inst.copy_to_source.items()
+               for x in item)
+
+
 def _lost_cycles(g):
     """Input 4-cycles broken by the rewiring: the part-2 pair sits on one
     diagonal and the other diagonal spans parts 0 and 1."""
@@ -243,6 +301,25 @@ def test_pad_with_c4free_shapes():
     k3 = complete(3)
     grown = pad_with_c4free(k3, 1, 3)
     assert count_triangles(grown) == 1 + count_triangles(polarity_graph(3))
+
+
+def _pad_per_edge(g, copies, q):
+    pad = polarity_graph(q)
+    edges = list(g.edges())
+    for i in range(copies):
+        offset = g.n + i * pad.n
+        edges.extend((offset + u, offset + v) for u, v in pad.edges())
+    labels = dict(g.part_label) if g.part_label is not None else None
+    return from_edge_list(edges, g.n + copies * pad.n, labels)
+
+
+@pytest.mark.parametrize("g", [random_gnm(12, 30, 1),
+                               random_kpartite(3, 4, 0.5, 2),
+                               from_edge_list([], 0)],
+                         ids=["unlabelled", "labelled", "empty"])
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_pad_matches_per_edge_copies(g, copies):
+    assert_same_graph(pad_with_c4free(g, copies, 3), _pad_per_edge(g, copies, 3))
 
 
 def test_pad_zero_copies_returns_input():

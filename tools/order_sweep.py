@@ -41,7 +41,7 @@ def shuffled_polarity(q: int, seed: int):
     g = polarity_graph(q)
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
-    return from_edge_list([(perm[u], perm[v]) for u, v in g.edges()], g.n)
+    return from_edge_list(np.array(perm)[g.edge_array()], g.n)
 
 
 def main() -> None:
