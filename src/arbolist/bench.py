@@ -31,10 +31,11 @@ from .listing import (
 )
 from .zeroclique import (
     admissible_tuples,
+    arc_table,
     extract_bucket,
-    hash_weights,
-    index_edges,
+    hash_edges,
     partition_intervals,
+    sample_hash_params,
 )
 
 PathLike = Union[str, Path]
@@ -174,12 +175,12 @@ def suite_zeroclique(n_part: int = 40, s: int = 4, instances: int = 2,
         wg = random_weighted_kpartite(k, n_part, _ZC_EDGE_PROB,
                                       _ZC_WEIGHT_BOUND, seed)
         p = next_prime_above(max(k * k * _ZC_WEIGHT_BOUND, wg.base.n))
-        hashed, _ = hash_weights(wg, p, seed)
+        hashed = hash_edges(wg, sample_hash_params(wg, p, seed))
         partition = partition_intervals(p, s)
         oriented = orient(wg.base)
-        index = index_edges(wg, hashed, partition, oriented)
+        arcs = arc_table(wg, hashed, partition, oriented)
         for key in admissible_tuples(partition, k):
-            bucket = extract_bucket(oriented, index, key)
+            bucket = extract_bucket(oriented, arcs, key)
             stats = list_kcliques(bucket, 3, _drain)
             keytxt = "|".join(str(i) for i in key)
             rows.append(_record(

@@ -77,10 +77,8 @@ class BadModulusError(ArbolistError):
 
 
 class BadSError(ArbolistError):
-    def __init__(self, s: int, p: int):
-        super().__init__(f"s={s} outside the valid range 1..{p}")
-        self.s = s
-        self.p = p
+    """The bucket count s is outside 1..p, or admits more keys than a
+    solve walks."""
 
 
 class BadEpsilonError(ArbolistError):

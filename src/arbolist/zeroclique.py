@@ -143,29 +143,16 @@ def hash_edges(g: WeightedKPartiteGraph, params: HashParams) -> np.ndarray:
     """x*w(u,v) + y[u][part(v)] + y[v][part(u)] mod p for every edge, in
     ``g.base.edges()`` order: int64 while the terms stay below p *
     (weight_bound + 2) <= 2**63, exact ints above, as at p ~ 9e12 with
-    weights up to 1e12."""
-    dtype = _dtype(params.p * (g.weight_bound + 2))
-    y = np.array(params.y, dtype).reshape(-1, g.k)
-    offsets = y[g.ends, g.part[g.ends[:, ::-1]]].sum(1)
-    return (params.x * g.w.astype(dtype) + offsets) % params.p
-
-
-def apply_hash_weights(g: WeightedKPartiteGraph,
-                       params: HashParams) -> dict[Edge, int]:
-    """Hashed weight of each edge: x*w(u,v) + y[u][part(v)] + y[v][part(u)]."""
-    return dict(zip(g.base.edges(), hash_edges(g, params).tolist()))
-
-
-def hash_weights(g: WeightedKPartiteGraph, p: int,
-                 seed: int) -> tuple[dict[Edge, int], HashParams]:
-    """Sample parameters and rehash every edge weight into [0, p).
+    weights up to 1e12.
 
     For any clique with one vertex per part, the hashed weights sum to
     x times the original sum mod p: the y offsets pair up by vertex and
     each vertex's row cancels by construction.
     """
-    params = sample_hash_params(g, p, seed)
-    return apply_hash_weights(g, params), params
+    dtype = _dtype(params.p * (g.weight_bound + 2))
+    y = np.array(params.y, dtype).reshape(-1, g.k)
+    offsets = y[g.ends, g.part[g.ends[:, ::-1]]].sum(1)
+    return (params.x * g.w.astype(dtype) + offsets) % params.p
 
 
 @dataclass(frozen=True)
@@ -183,16 +170,19 @@ class IntervalPartition:
     length: int
     bounds: tuple[tuple[int, int], ...]
 
-    def interval_of(self, value):
-        """The interval index of ``value``, elementwise on an array."""
-        if not np.all((0 <= value) & (value < self.p)):
-            raise ValueError(f"value {value} outside [0, {self.p})")
-        return value // self.length
+    def interval_of(self, values: np.ndarray) -> np.ndarray:
+        """The interval index of each of ``values``; a ValueError names
+        the first value outside [0, p)."""
+        outside = (values < 0) | (values >= self.p)
+        if np.any(outside):
+            first = np.asarray(values)[outside][0]
+            raise ValueError(f"value {first} outside [0, {self.p})")
+        return values // self.length
 
 
 def partition_intervals(p: int, s: int) -> IntervalPartition:
     if s < 1 or s > p:
-        raise BadSError(s, p)
+        raise BadSError(f"s={s} outside the valid range 1..{p}")
     length = -(-p // s)
     actual = -(-p // length)
     bounds = tuple((i * length, min((i + 1) * length, p))
@@ -236,12 +226,15 @@ def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKe
             yield prefix + (j,)
 
 
-def _arcs(g: WeightedKPartiteGraph, hashed: np.ndarray,
-          partition: IntervalPartition, oriented: Orientation):
+def arc_table(g: WeightedKPartiteGraph, hashed: np.ndarray,
+              partition: IntervalPartition, oriented: Orientation) -> tuple:
     """The arcs of ``oriented = orient(g.base)`` in key order, as arrays
     read from the instance's: their keys source * n + target in
     positions, part-pair slots, the intervals of their ``hashed``
-    weights (given in edge order) and their original weights ``g.w``."""
+    weights (from :func:`hash_edges`, in edge order) and their original
+    weights ``g.w``; then the number of part pairs, C(k,2), which
+    counts pairs that have no edge too.
+    """
     n, k = oriented.n, g.k
     pos = np.empty(n, np.int64)
     pos[oriented.order] = np.arange(n)
@@ -252,34 +245,21 @@ def _arcs(g: WeightedKPartiteGraph, hashed: np.ndarray,
     a, b = np.sort(g.part[g.ends], 1).T
     slot = a * (2 * k - a - 1) // 2 + b - a - 1
     interval = partition.interval_of(hashed)
-    return keys[by], slot[by], interval[by].astype(np.int64), g.w[by]
+    return (keys[by], slot[by], interval[by].astype(np.int64), g.w[by],
+            len(pair_order(k)))
 
 
-def index_edges(g: WeightedKPartiteGraph, hashed: Mapping[Edge, int],
-                partition: IntervalPartition,
-                oriented: Orientation) -> tuple:
-    """The arc table of ``oriented = orient(g.base)`` that buckets are
-    selected from: the arcs' keys source * n + target in positions, in
-    key order, with each arc's part-pair slot and the interval of its
-    hashed weight, plus the number of part pairs, C(k,2).
-    """
-    in_order = np.fromiter(map(hashed.__getitem__, g.base.edges()),
-                           _dtype(partition.p), g.base.m)
-    keys, slot, interval, _ = _arcs(g, in_order, partition, oriented)
-    return keys, slot, interval, len(pair_order(g.k))
-
-
-def extract_bucket(oriented: Orientation, index: tuple,
+def extract_bucket(oriented: Orientation, arcs: tuple,
                    key: BucketKey) -> Orientation:
     """Bucket keeping, per part pair, the edges hashed into the keyed interval.
 
-    ``index`` comes from :func:`index_edges` with the same ``oriented``.
+    ``arcs`` comes from :func:`arc_table` with the same ``oriented``.
     The bucket's CSR is built from the arcs whose interval is the key's
     entry at their slot, one mask over the arc table, which is already
     in key order; no validation or :class:`Graph`.  Vertex ids are kept,
     so its cliques are cliques of the original graph.
     """
-    keys, slot, interval, pairs = index
+    keys, slot, interval, _, pairs = arcs
     if len(key) != pairs:
         raise ValueError(f"key has {len(key)} entries, expected {pairs}")
     kept = np.asarray(key, np.int64)[slot] == interval
@@ -322,13 +302,21 @@ class SolveReport:
 # Keys per scan of the solve grow by this factor: 1, 8, 64, ...
 _GROWTH = 8
 
+# The most admissible keys a solve may walk.  A reduced s whose key
+# bound (C(k,2)+1) * s**(C(k,2)-1) (see admissible_tuples) passes it is
+# refused before any hashing or walk: at k=3 s may go up to 1024, at
+# k=4 up to 14, at k=5 up to 4 (2,883,584 keys).
+MAX_KEYS = 2 ** 22
+
 
 def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
                        seed: int) -> SolveReport:
     """Find some one-vertex-per-part k-clique of total weight zero, if any.
 
     Chooses p as the smallest prime above max(k^2 * weight_bound, n),
-    hashes the weights and orients the base graph once (:func:`orient`).
+    splits [0, p) into s intervals, raising :class:`BadSError` when the
+    reduced s bounds more than ``MAX_KEYS`` admissible keys, hashes the
+    weights and orients the base graph once (:func:`orient`).
     One pass over the arcs gives each its part-pair slot, hashed
     interval and original weight, as arrays in arc-key order.  The
     admissible keys are then taken in lexicographic order, in groups of
@@ -364,15 +352,21 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
         raise ValueError("every part must be nonempty")
     t0 = perf_counter()
     p = next_prime_above(max(k * k * g.weight_bound, g.base.n))
-    hashed = hash_edges(g, sample_hash_params(g, p, seed))
     partition = partition_intervals(p, s)
-    report = SolveReport(witness=None, p=p, s=partition.s)
+    pairs = pair_order(k)
+    bound = (len(pairs) + 1) * partition.s ** (len(pairs) - 1)
+    if bound > MAX_KEYS:
+        raise BadSError(f"s={s} gives up to {bound} admissible keys at "
+                        f"k={k}, above the limit {MAX_KEYS}")
+    hashed = hash_edges(g, sample_hash_params(g, p, seed))
+    n, s = g.base.n, partition.s
+    report = SolveReport(witness=None, p=p, s=s)
     t1 = perf_counter()
     report.hash_s = t1 - t0
 
     oriented = orient(g.base)
-    keys, slot, interval, weight = _arcs(g, hashed, partition, oriented)
-    n, s, pairs = oriented.n, partition.s, pair_order(k)
+    keys, slot, interval, weight, _ = arc_table(g, hashed, partition,
+                                                oriented)
     # A key's code in mixed radix s: lexicographic order is code order.
     radix = np.array([s ** i for i in range(len(pairs) - 1, -1, -1)],
                      _dtype(s ** len(pairs)))

@@ -22,7 +22,7 @@ from arbolist import (
     count_4cycles,
     count_kcliques,
     count_triangles,
-    hash_weights,
+    hash_edges,
     list_4cycles,
     list_kcliques,
     list_triangles,
@@ -31,6 +31,7 @@ from arbolist import (
     random_gnm,
     random_kpartite,
     random_weighted_kpartite,
+    sample_hash_params,
     solve_zero_kclique,
     triangle_to_4cycle_transform,
 )
@@ -186,7 +187,8 @@ def test_acceptance_5_hash_cancellation():
     for idx, wg in enumerate(instances):
         k = wg.k
         p = next_prime_above(max(k * k * wg.weight_bound, wg.base.n))
-        hashed, params = hash_weights(wg, p, idx)
+        params = sample_hash_params(wg, p, idx)
+        hashed = dict(zip(wg.base.edges(), hash_edges(wg, params).tolist()))
         for clique in product(*wg.parts()):
             pairs = list(combinations(sorted(clique), 2))
             original = sum(wg.weight(u, v) for u, v in pairs)

@@ -98,6 +98,47 @@ def test_suites_small_smoke():
     assert all("," not in r.gen for r in rows)
 
 
+# suite_zeroclique's rows at its --small arguments, every field but
+# pre_s and emit_s: per row the seed, key, m, alpha_proxy, count and
+# steps (n is 24 and algo "clique k=3" on every row).
+_ZC_SMALL_ROWS = """
+    0 0|0|0 24 2 0 37   0 0|0|1 21 2 1 32   0 0|0|2 21 2 1 31   0 0|0|3 17 2 1 22
+    0 0|1|0 22 2 0 39   0 0|1|1 19 2 1 34   0 0|1|2 19 2 0 28   0 0|2|0 26 2 0 42
+    0 0|2|1 23 2 2 40   0 0|2|3 19 2 0 23   0 0|3|0 25 2 3 41   0 0|3|2 22 2 1 34
+    0 0|3|3 18 2 0 22   0 1|0|0 25 2 0 37   0 1|0|1 22 2 0 32   0 1|0|2 22 2 1 30
+    0 1|1|0 23 2 1 38   0 1|1|1 20 2 0 29   0 1|1|3 16 2 0 17   0 1|2|0 27 2 0 43
+    0 1|2|2 24 2 2 36   0 1|2|3 20 2 0 27   0 1|3|1 23 2 1 32   0 1|3|2 23 2 1 35
+    0 1|3|3 19 2 0 22   0 2|0|0 27 2 1 38   0 2|0|1 24 2 2 35   0 2|0|3 20 2 0 29
+    0 2|1|0 25 2 2 38   0 2|1|2 22 2 0 28   0 2|1|3 18 1 0 19   0 2|2|1 26 2 1 38
+    0 2|2|2 26 2 0 33   0 2|2|3 22 2 2 27   0 2|3|0 28 2 2 45   0 2|3|1 25 2 1 37
+    0 2|3|2 25 2 1 36   0 3|0|0 25 2 0 32   0 3|0|2 22 2 0 27   0 3|0|3 18 2 1 22
+    0 3|1|1 20 2 0 26   0 3|1|2 20 2 0 28   0 3|1|3 16 2 0 18   0 3|2|0 27 2 2 44
+    0 3|2|1 24 2 0 36   0 3|2|2 24 2 0 33   0 3|3|0 26 2 1 39   0 3|3|1 23 2 1 28
+    1 0|0|0 16 2 1 20   1 0|0|1 25 2 1 33   1 0|0|2 24 2 0 35   1 0|0|3 25 2 1 38
+    1 0|1|0 20 2 0 30   1 0|1|1 29 2 4 49   1 0|1|2 28 2 3 50   1 0|2|0 16 1 0 18
+    1 0|2|1 25 2 0 36   1 0|2|3 25 2 0 40   1 0|3|0 19 2 0 24   1 0|3|2 27 2 2 46
+    1 0|3|3 28 2 0 49   1 1|0|0 19 2 0 26   1 1|0|1 28 2 0 43   1 1|0|2 27 2 1 38
+    1 1|1|0 23 2 0 37   1 1|1|1 32 2 3 65   1 1|1|3 32 2 3 69   1 1|2|0 19 1 0 24
+    1 1|2|2 27 2 1 42   1 1|2|3 28 2 2 50   1 1|3|1 31 2 0 54   1 1|3|2 30 2 2 52
+    1 1|3|3 31 2 2 59   1 2|0|0 13 1 0 16   1 2|0|1 22 2 0 30   1 2|0|3 22 2 1 32
+    1 2|1|0 17 2 0 26   1 2|1|2 25 2 1 42   1 2|1|3 26 2 1 42   1 2|2|1 22 1 0 30
+    1 2|2|2 21 2 0 29   1 2|2|3 22 2 1 30   1 2|3|0 16 2 0 18   1 2|3|1 25 2 1 35
+    1 2|3|2 24 2 1 37   1 3|0|0 14 1 0 19   1 3|0|2 22 2 1 36   1 3|0|3 23 2 0 35
+    1 3|1|1 27 2 0 42   1 3|1|2 26 2 0 45   1 3|1|3 27 2 0 43   1 3|2|0 14 1 0 15
+    1 3|2|1 23 2 1 32   1 3|2|2 22 2 3 36   1 3|3|0 17 2 0 20   1 3|3|1 26 2 1 33
+"""
+
+
+def test_zeroclique_small_rows_are_pinned():
+    want = [(f"zc-bucket n_part=8 s=4 seed={seed} key={key}", 24, int(m),
+             int(alpha), "clique k=3", int(count), int(steps))
+            for seed, key, m, alpha, count, steps
+            in zip(*[iter(_ZC_SMALL_ROWS.split())] * 6)]
+    got = [(r.gen, r.n, r.m, r.alpha_proxy, r.algo, r.count, r.steps)
+           for r in run_suite("zeroclique", small=True)]
+    assert len(want) == 96 and got == want
+
+
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite("no-such-suite")

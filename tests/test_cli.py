@@ -12,11 +12,12 @@ from time import perf_counter
 import pytest
 
 import arbolist
-from arbolist import from_edge_list
+from arbolist import WeightedKPartiteGraph, from_edge_list
 from arbolist.bench import c4_block_family
 from arbolist.cli import main
 from arbolist.generators import polarity_graph, random_gnm
-from arbolist.graphio import read_edge_list, write_edge_list
+from arbolist.graphio import (read_edge_list, write_edge_list,
+                              write_weighted_kpartite)
 from arbolist import listing
 from arbolist.listing import list_4cycles, list_kcliques, list_triangles
 
@@ -557,6 +558,32 @@ def test_solve_default_epsilon_takes_one_vertex_parts(tmp_path, capsys):
                          "--k", "3")
     assert (code, err) == (0, "")
     assert "s=1\n" in out and "found=False\n" in out
+
+
+def test_solve_refuses_an_s_with_too_many_keys(tmp_path, capsys):
+    """An s from --s or from --epsilon whose key bound passes the limit
+    fails before any walk: exit 2, one error line, nothing on stdout."""
+    small = str(tmp_path / "small.txt")
+    run(capsys, "gen", "zero-clique", "--k", "3", "--n-part", "45",
+        "--weight-bound", "1000000", "--out", small)
+    # one part of 2000 vertices: --epsilon 0.95 chooses s = 1368, and
+    # the weights (the reader's bound) make p = 9000011
+    labels = {**dict.fromkeys(range(2000), 0), 2000: 1, 2001: 2}
+    edges = [(0, 2000), (0, 2001), (2000, 2001)]
+    wide = str(tmp_path / "wide.txt")
+    write_weighted_kpartite(wide, WeightedKPartiteGraph(
+        from_edge_list(edges, 2002, labels), 3,
+        dict.fromkeys(edges, 10 ** 6), 10 ** 6))
+    for path, choice, s in ((small, ("--s", "100000"), 100000),
+                            (wide, ("--epsilon", "0.95"), 1368)):
+        t0 = perf_counter()
+        code, out, err = run(capsys, "solve-zero-clique", "--input", path,
+                             "--k", "3", *choice)
+        assert perf_counter() - t0 < 2
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: s={s} gives up to ")
+        assert err.endswith(" admissible keys at k=3, above the limit "
+                            "4194304\n") and err.count("\n") == 1
 
 
 def test_bench_suite_writes_csv(tmp_path, capsys):

@@ -13,14 +13,13 @@ from arbolist import (
     IntervalPartition,
     WeightedKPartiteGraph,
     admissible_tuples,
-    apply_hash_weights,
+    arc_table,
     brute_kcliques,
     brute_zero_kclique,
     choose_s,
     extract_bucket,
     from_edge_list,
-    hash_weights,
-    index_edges,
+    hash_edges,
     list_kcliques,
     orient,
     partition_intervals,
@@ -43,6 +42,13 @@ def _triangle_instance(weights=(5, 5, 5), bound=None):
     return WeightedKPartiteGraph(base, 3, w, bound)
 
 
+def _hash(wg, p, seed):
+    """Every edge's hashed weight, in edge order, and the parameters,
+    as the solver samples them."""
+    params = sample_hash_params(wg, p, seed)
+    return hash_edges(wg, params), params
+
+
 def test_solver_takes_weights_up_to_max_weight():
     top = max_weight(3)
     g = _triangle_instance((top, -top + 1, -1))
@@ -56,8 +62,7 @@ def test_hash_formula_worked_example():
     """k=3, p=13, x=2, all offsets 0, w=5 everywhere gives w'=10."""
     wg = _triangle_instance()
     params = HashParams(p=13, x=2, y=((0, 0, 0),) * 3)
-    hashed = apply_hash_weights(wg, params)
-    assert set(hashed.values()) == {10}
+    assert hash_edges(wg, params).tolist() == [10, 10, 10]
 
 
 def test_sample_hash_params_rows_cancel():
@@ -74,11 +79,11 @@ def test_sample_hash_params_rows_cancel():
 
 def test_hash_weights_in_range_and_deterministic():
     wg = random_weighted_kpartite(3, 5, 0.5, 20, seed=1)
-    h1, p1 = hash_weights(wg, 457, seed=3)
-    h2, p2 = hash_weights(wg, 457, seed=3)
-    assert h1 == h2 and p1 == p2
-    assert all(0 <= v < 457 for v in h1.values())
-    assert set(h1) == wg.base.edge_set()
+    h1, p1 = _hash(wg, 457, seed=3)
+    h2, p2 = _hash(wg, 457, seed=3)
+    assert h1.tolist() == h2.tolist() and p1 == p2
+    assert all(0 <= v < 457 for v in h1.tolist())
+    assert len(h1) == wg.base.m
 
 
 def test_weighted_instance_rejects_bad_weights():
@@ -127,7 +132,6 @@ def test_hash_edges_is_the_per_edge_formula(bound):
         got = zeroclique.hash_edges(wg, params).tolist()
         assert got == want
         assert all(type(h) is int for h in got)
-        assert apply_hash_weights(wg, params) == dict(zip(edges, want))
         if bound >= 10 ** 12:
             assert x * bound >= 2 ** 63
     assert (p > 2 ** 63) == (bound > 10 ** 12)
@@ -162,7 +166,8 @@ def test_cancellation_identity_over_cliques():
     """Hashed clique sums equal x times the original sum mod p."""
     for seed in range(8):
         wg = random_weighted_kpartite(3, 5, 0.8, 20, seed)
-        hashed, params = hash_weights(wg, 457, seed + 100)
+        h, params = _hash(wg, 457, seed + 100)
+        hashed = dict(zip(wg.base.edges(), h.tolist()))
         parts = wg.parts()
         for trip in product(*parts):
             pairs = list(combinations(sorted(trip), 2))
@@ -176,8 +181,8 @@ def test_cancellation_identity_over_cliques():
 def test_zero_sum_clique_hashes_to_zero():
     wg = _triangle_instance((7, -9, 2))
     for seed in range(20):
-        hashed, params = hash_weights(wg, 101, seed)
-        assert sum(hashed.values()) % params.p == 0
+        hashed, params = _hash(wg, 101, seed)
+        assert sum(hashed.tolist()) % params.p == 0
 
 
 def test_partition_examples():
@@ -222,8 +227,19 @@ def test_partition_tiles_p_above_float_precision():
 def test_partition_rejects_bad_s():
     with pytest.raises(BadSError):
         partition_intervals(13, 0)
-    with pytest.raises(BadSError):
+    with pytest.raises(BadSError) as err:
         partition_intervals(13, 14)
+    assert str(err.value) == "s=14 outside the valid range 1..13"
+
+
+def test_interval_of_names_the_first_value_outside():
+    part = partition_intervals(13, 4)
+    assert part.interval_of(np.array([0, 4, 12])).tolist() == [0, 1, 3]
+    for values, first in (([1, 2, 13, 5], 13), ([3, -1, 20], -1),
+                          (np.array([5, 2 ** 70, -1], object), 2 ** 70)):
+        with pytest.raises(ValueError) as err:
+            part.interval_of(np.asarray(values))
+        assert str(err.value) == f"value {first} outside [0, 13)"
 
 
 def _brute_admissible(part, k):
@@ -260,10 +276,10 @@ def test_admissible_count_bound():
 
 
 def _indexed(wg, hashed, part):
-    """The base orientation and its edge index, as the zeroclique bench
+    """The base orientation and its arc table, as the zeroclique bench
     suite builds them."""
     oriented = orient(wg.base)
-    return oriented, index_edges(wg, hashed, part, oriented)
+    return oriented, arc_table(wg, hashed, part, oriented)
 
 
 def _as_graph(bucket):
@@ -273,7 +289,7 @@ def _as_graph(bucket):
 
 def test_extract_bucket_s1_is_whole_graph():
     wg = random_weighted_kpartite(3, 4, 0.7, 10, seed=2)
-    hashed, _ = hash_weights(wg, 101, seed=0)
+    hashed, _ = _hash(wg, 101, seed=0)
     part = partition_intervals(101, 1)
     bucket = extract_bucket(*_indexed(wg, hashed, part), (0, 0, 0))
     assert _as_graph(bucket).edge_set() == wg.base.edge_set()
@@ -281,7 +297,7 @@ def test_extract_bucket_s1_is_whole_graph():
 
 def test_buckets_partition_each_pair_class():
     wg = random_weighted_kpartite(3, 4, 0.7, 10, seed=3)
-    hashed, _ = hash_weights(wg, 101, seed=1)
+    hashed, _ = _hash(wg, 101, seed=1)
     part = partition_intervals(101, 4)
     oriented, index = _indexed(wg, hashed, part)
     union = set()
@@ -300,7 +316,7 @@ def test_buckets_partition_each_pair_class():
 def test_bucket_degree_mostly_bounded():
     """Per-vertex bucket degree <= 4*(deg/s)+8 for 99% of vertices."""
     wg = random_weighted_kpartite(3, 40, 0.5, 50, seed=0)
-    hashed, _ = hash_weights(wg, 457, seed=0)
+    hashed, _ = _hash(wg, 457, seed=0)
     part = partition_intervals(457, 4)
     oriented, index = _indexed(wg, hashed, part)
     rng = random.Random(5)
@@ -317,11 +333,12 @@ def test_bucket_equals_direct_filter():
     for k, seed in ((3, 4), (4, 5)):
         wg = random_weighted_kpartite(k, 6, 0.6, 20, seed)
         p = 1009
-        hashed, _ = hash_weights(wg, p, seed)
+        h, _ = _hash(wg, p, seed)
+        hashed = dict(zip(wg.base.edges(), h.tolist()))
         part = partition_intervals(p, 3)
         slot = {pq: i for i, pq in enumerate(combinations(range(k), 2))}
         labels = wg.base.part_label
-        oriented, index = _indexed(wg, hashed, part)
+        oriented, index = _indexed(wg, h, part)
         position = {v: i for i, v in enumerate(oriented.order)}
         for key in admissible_tuples(part, k):
             want = set()
@@ -346,7 +363,7 @@ def test_bucket_equals_direct_filter():
 
 def test_extract_bucket_rejects_wrong_key_length():
     wg = random_weighted_kpartite(3, 4, 0.7, 10, seed=2)
-    hashed, _ = hash_weights(wg, 101, seed=0)
+    hashed, _ = _hash(wg, 101, seed=0)
     oriented, index = _indexed(wg, hashed, partition_intervals(101, 2))
     with pytest.raises(ValueError):
         extract_bucket(oriented, index, (0, 0))
@@ -356,7 +373,7 @@ def test_extract_bucket_key_length_counts_pairs_without_edges():
     """The index carries C(k,2) even when a part pair has no edge."""
     base = from_edge_list([(0, 1), (0, 2)], 3, {0: 0, 1: 1, 2: 2})
     wg = WeightedKPartiteGraph(base, 3, {(0, 1): 1, (0, 2): -1}, 1)
-    hashed, _ = hash_weights(wg, 11, seed=0)
+    hashed, _ = _hash(wg, 11, seed=0)
     oriented, index = _indexed(wg, hashed, partition_intervals(11, 1))
     bucket = extract_bucket(oriented, index, (0, 0, 0))
     assert _as_graph(bucket).edge_set() == base.edge_set()
@@ -365,7 +382,8 @@ def test_extract_bucket_key_length_counts_pairs_without_edges():
             extract_bucket(oriented, index, key)
     empty = WeightedKPartiteGraph(from_edge_list([], 4, dict(enumerate(
         range(4)))), 4, {}, 0)
-    oriented, index = _indexed(empty, {}, partition_intervals(17, 2))
+    hashed, _ = _hash(empty, 17, seed=0)
+    oriented, index = _indexed(empty, hashed, partition_intervals(17, 2))
     assert extract_bucket(oriented, index, (1,) * 6).m == 0
     with pytest.raises(ValueError):
         extract_bucket(oriented, index, (1,) * 5)
@@ -377,7 +395,8 @@ def _reference_solve(wg, k, s, seed):
     listed by the label walk: (witness, buckets_examined,
     cliques_listed_total)."""
     p = next_prime_above(max(k * k * wg.weight_bound, wg.base.n))
-    hashed, _ = hash_weights(wg, p, seed)
+    h, _ = _hash(wg, p, seed)
+    hashed = dict(zip(wg.base.edges(), h.tolist()))
     part = partition_intervals(p, s)
     order = core.degeneracy_ordering(wg.base).order
     position = {v: i for i, v in enumerate(order)}
@@ -506,7 +525,7 @@ def test_bucket_cliques_match_validated_graphs():
             if brute_zero_kclique(wg, k) is not None:
                 continue
             p = next_prime_above(max(k * k * wg.weight_bound, wg.base.n))
-            hashed, _ = hash_weights(wg, p, seed)
+            hashed, _ = _hash(wg, p, seed)
             part = partition_intervals(p, s)
             oriented, index = _indexed(wg, hashed, part)
             total = 0
@@ -561,8 +580,8 @@ def test_hash_uniformity_smoke():
     counts = [0] * p
     trials = 10_000
     for seed in range(trials):
-        hashed, _ = hash_weights(wg, p, seed)
-        counts[(hashed[(0, 2)] - hashed[(1, 3)]) % p] += 1
+        hashed, _ = _hash(wg, p, seed)
+        counts[(hashed[0] - hashed[1]) % p] += 1
     assert max(counts) <= 3 * trials / p
 
 
@@ -646,6 +665,30 @@ def test_solver_rejects_small_k():
     wg = _triangle_instance()
     with pytest.raises(ValueError):
         solve_zero_kclique(wg, 2, s=1, seed=0)
+
+
+def test_solver_refuses_an_s_with_too_many_keys(monkeypatch):
+    """The key bound of the reduced s is checked against MAX_KEYS before
+    anything is hashed; an s at the limit solves."""
+    wg = random_weighted_kpartite(3, 6, 0.6, 10 ** 6, seed=1)
+    with pytest.raises(BadSError) as err:
+        solve_zero_kclique(wg, 3, 100000, seed=0)
+    # p = 9000011 reduces s = 100000 to 98902 intervals
+    assert str(err.value) == ("s=100000 gives up to 39126422416 admissible "
+                              "keys at k=3, above the limit 4194304")
+    assert zeroclique.MAX_KEYS == 2 ** 22
+    monkeypatch.setattr(zeroclique, "MAX_KEYS", 4 * 6 ** 2)
+    # p = 11: s = 7 reduces to 6 intervals, s = 11 keeps 11
+    assert solve_zero_kclique(_triangle_instance((1, 1, 1)), 3, 7, 0).s == 6
+
+    def no_hash(*args):
+        raise AssertionError("hashed before the s check")
+
+    monkeypatch.setattr(zeroclique, "hash_edges", no_hash)
+    with pytest.raises(BadSError) as err:
+        solve_zero_kclique(_triangle_instance((1, 1, 1)), 3, 11, seed=0)
+    assert str(err.value) == ("s=11 gives up to 484 admissible keys at k=3, "
+                              "above the limit 144")
 
 
 def test_choose_s_examples():
