@@ -48,14 +48,6 @@ def polarity_spec(q: int) -> PolaritySpec:
     return PolaritySpec(q=q, n=q * q + q + 1, expected_max_degree=q + 1)
 
 
-def _projective_points(q: int) -> list[tuple[int, int, int]]:
-    # Canonical representatives: first nonzero coordinate equals 1.
-    pts = [(1, a, b) for a in range(q) for b in range(q)]
-    pts += [(0, 1, b) for b in range(q)]
-    pts.append((0, 0, 1))
-    return pts
-
-
 def polarity_graph(q: int) -> Graph:
     """Orthogonality graph of the projective plane over GF(q), q prime.
 
@@ -64,18 +56,34 @@ def polarity_graph(q: int) -> Graph:
     at most one common neighbor (two distinct lines meet in one point),
     so the graph contains no 4-cycle, while its edge count q(q+1)^2/2 is
     about n^(3/2).  Self-orthogonal points keep degree q, the rest q+1.
+
+    Each point's neighbours are the q+1 points of its polar line, solved
+    for directly, so time and memory are O(m).  Points are canonical
+    (first nonzero coordinate 1), with ids (1, a, b) -> a*q + b,
+    (0, 1, b) -> q^2 + b and (0, 0, 1) -> q^2 + q.
     """
-    if not is_prime(q):
-        raise NotPrimeError(q)
-    pts = np.array(_projective_points(q), dtype=np.int64)
-    n = len(pts)
-    edges = []
-    chunk = 1024
-    for start in range(0, n, chunk):
-        rows, cols = np.nonzero((pts[start:start + chunk] @ pts.T) % q == 0)
-        rows += start
-        edges.append(np.column_stack((rows, cols))[rows < cols])
-    return from_edge_list(np.concatenate(edges), n)
+    n = polarity_spec(q).n
+    t = np.arange(q)
+    c0 = (np.arange(n) < q * q).astype(np.int64)
+    c1 = np.concatenate((np.repeat(t, q), np.ones(q, np.int64), [0]))
+    c2 = np.concatenate((np.tile(t, q), t, [1]))
+    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+    line = np.empty((n, q + 1), dtype=np.int64)
+    # c2 != 0: c0 + c1*a + c2*b = 0 fixes b for every a, and c1 + c2*b = 0
+    # fixes the one (0, 1, b).
+    u = np.flatnonzero(c2)
+    r = inv[c2[u]]
+    line[u, :q] = t * q + (-(c0[u, None] + c1[u, None] * t) * r[:, None]) % q
+    line[u, q] = q * q + (-c1[u] * r) % q
+    # c2 == 0: (0, 0, 1) and either every (1, a, b) with a = -c0/c1, or,
+    # for (1, 0, 0), every (0, 1, b).
+    w = np.flatnonzero(c2 == 0)
+    a = (-c0[w] * inv[c1[w]]) % q
+    line[w, :q] = np.where(c1[w] != 0, a * q, q * q)[:, None] + t
+    line[w, q] = q * q + q
+    # Each edge once, from its smaller end; self-orthogonal points drop out.
+    keep = np.arange(n)[:, None] < line
+    return from_edge_list(np.column_stack((np.nonzero(keep)[0], line[keep])), n)
 
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:

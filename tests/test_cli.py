@@ -2,6 +2,7 @@
 ``python -m arbolist`` in child processes."""
 
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -80,6 +81,22 @@ def test_gen_gnm_deterministic(tmp_path, capsys):
                "--out", b)[0] == 0
     with open(a, "rb") as fa, open(b, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+# sha256 of the file ``gen polarity --q 47`` wrote before the polar-line
+# builder replaced the dense orthogonality matrix: the input of perfbench's
+# dense-count workload.
+POLARITY_47_SHA256 = (
+    "648c21e94d80efb5e06166a5455e97920568ba5a0175c809174104a91a1565fb")
+
+
+def test_gen_polarity_47_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "pol47.txt"
+    code, out, _ = run(capsys, "gen", "polarity", "--q", "47",
+                       "--out", str(path))
+    assert code == 0
+    assert out == f"wrote {path} (2257 vertices, 54144 edges)\n"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == POLARITY_47_SHA256
 
 
 @pytest.mark.parametrize("argv, comment, header, n, m", [

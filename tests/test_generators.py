@@ -2,6 +2,7 @@ import math
 import random
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from arbolist import (
@@ -31,6 +32,9 @@ from arbolist import (
     validate_kpartite,
 )
 
+from arbolist import generators
+from arbolist.primes import is_prime
+
 from .conftest import assert_same_graph, complete
 
 
@@ -42,14 +46,36 @@ def test_polarity_small_shapes():
     assert count_4cycles(g3) == 0
 
 
+def _polarity_oracle(q):
+    """CSR of the dense definition: distinct canonical points (first
+    nonzero coordinate 1) whose dot product vanishes mod q."""
+    pts = [(1, a, b) for a in range(q) for b in range(q)]
+    pts += [(0, 1, b) for b in range(q)] + [(0, 0, 1)]
+    p = np.array(pts, dtype=np.int32)
+    adj = (p @ p.T) % q == 0
+    np.fill_diagonal(adj, False)
+    indptr = np.concatenate(([0], np.cumsum(adj.sum(axis=1))))
+    return indptr, np.nonzero(adj)[1]
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 54) if is_prime(q)])
+def test_polarity_matches_dense_oracle(q):
+    indptr, indices = _polarity_oracle(q)
+    g = polarity_graph(q)
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+
+
 def test_polarity_spec_matches_construction():
-    for q in (2, 3, 5, 7, 11):
+    for q in (2, 3, 5, 7, 11, 47, 101):
         spec = polarity_spec(q)
         g = polarity_graph(q)
         assert g.n == spec.n == q * q + q + 1
+        assert g.m == q * (q + 1) ** 2 // 2
         assert g.max_degree() == spec.expected_max_degree == q + 1
-        assert min(g.degree(v) for v in range(g.n)) >= q
-        assert sum(1 for v in range(g.n) if g.degree(v) == q) == q + 1
+        degrees = np.diff(g.indptr)
+        assert np.count_nonzero(degrees == q) == q + 1
+        assert np.count_nonzero(degrees == q + 1) == g.n - (q + 1)
 
 
 def test_polarity_c4_free_oracle_small_fast_large():
@@ -59,13 +85,12 @@ def test_polarity_c4_free_oracle_small_fast_large():
         assert count_4cycles(polarity_graph(q)) == 0
 
 
-def test_polarity_rejects_nonprime():
-    with pytest.raises(NotPrimeError):
-        polarity_graph(4)
-    with pytest.raises(NotPrimeError):
-        polarity_graph(6)
-    with pytest.raises(NotPrimeError):
-        polarity_graph(1)
+def test_polarity_rejects_nonprime(monkeypatch):
+    # The check comes first: with numpy gone, only NotPrimeError can escape.
+    monkeypatch.setattr(generators, "np", None)
+    for q in (1, 4, 6):
+        with pytest.raises(NotPrimeError, match=f"^q={q} is not prime$"):
+            polarity_graph(q)
 
 
 def test_gnm_shapes_and_determinism():
