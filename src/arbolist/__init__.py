@@ -30,9 +30,9 @@ _EXPORTS = {
     "oracle": """brute_4cycles brute_kcliques brute_triangles
         brute_zero_kclique""",
     "zeroclique": """HashParams IntervalPartition SolveReport
-        WeightedKPartiteGraph admissible_tuples arc_table choose_s
-        extract_bucket hash_edges partition_intervals sample_hash_params
-        solve_zero_kclique""",
+        WeightedKPartiteGraph admissible_keys admissible_tuples arc_table
+        choose_s extract_bucket hash_edges partition_intervals
+        sample_hash_params solve_zero_kclique""",
 }
 
 __all__ = []

@@ -77,8 +77,8 @@ class BadModulusError(ArbolistError):
 
 
 class BadSError(ArbolistError):
-    """The bucket count s is outside 1..p, or admits more keys than a
-    solve walks."""
+    """The bucket count s is outside 1..p, or admits more keys than the
+    solver's key table holds."""
 
 
 class BadEpsilonError(ArbolistError):

@@ -4,19 +4,19 @@ The pipeline takes a k-partite edge-weighted graph, rehashes the weights
 so that the sum over any one-vertex-per-part clique is a fixed multiple
 of the original sum mod a prime p, partitions the residue range [0, p)
 into s intervals, and then only searches the few "admissible" interval
-combinations (keys) whose sumset can reach 0 mod p.  The solver scans
-growing groups of consecutive keys, each over the base orientation
-restricted to the arcs its keys select, and stops in the first group
-that holds a zero clique.  Every clique of an admissible key is checked
-against the original weights, so the answer is exact regardless of hash
-collisions.
+combinations (keys) whose sumset can reach 0 mod p, built once as one
+int64 table.  The solver scans growing groups of consecutive keys, each
+over the base orientation restricted to the arcs its keys select, and
+stops in the first group that holds a zero clique.  Every clique of an
+admissible key is checked against the original weights, so the answer
+is exact regardless of hash collisions.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations
 from time import perf_counter
 from typing import Iterator, Mapping, Optional
 
@@ -192,38 +192,51 @@ def partition_intervals(p: int, s: int) -> IntervalPartition:
 
 BucketKey = tuple  # one interval index per part pair, in pair_order() order
 
+# The most keys (rows of C(k,2) int64s) admissible_keys builds: a reduced
+# s whose bound (C(k,2)+1) * s**(C(k,2)-1) passes it is refused before any
+# allocation or hashing (k=3: s <= 1024, k=4: 14, k=5: 4).
+MAX_KEYS = 2 ** 22
 
-def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKey]:
-    """Keys whose interval sumset contains 0 mod p, in lexicographic order.
+
+def _check_key_bound(partition: IntervalPartition, k: int, s: int) -> None:
+    """BadSError naming ``s`` if ``partition`` bounds over MAX_KEYS keys."""
+    pairs = len(pair_order(k))
+    bound = (pairs + 1) * partition.s ** (pairs - 1)
+    if bound > MAX_KEYS:
+        raise BadSError(f"s={s} gives up to {bound} admissible keys at "
+                        f"k={k}, above the limit {MAX_KEYS}")
+
+
+def admissible_keys(partition: IntervalPartition, k: int) -> np.ndarray:
+    """Keys whose interval sumset contains 0 mod p: a (keys, C(k,2))
+    int64 array in lexicographic order.
 
     A key assigns one interval to each of the C(k,2) part pairs; the sums
     of one value per interval form a contiguous integer range, so the key
-    is admissible iff that range contains a multiple of p.  The first
-    C(k,2)-1 indices are enumerated outright; for each prefix the last
-    index must place a multiple of p inside the reachable range, which
-    pins it down to a handful of candidates, so the total number of keys
-    emitted stays O(s^(C(k,2)-1)) rather than s^C(k,2).
+    is admissible iff that range contains a multiple of p.  Each of the
+    s^(C(k,2)-1) prefixes leaves at most C(k,2)+1 candidates for the last
+    index, so the table has O(s^(C(k,2)-1)) rows.  Sums are exact (Python
+    ints once C(k,2) * p passes 2**63).  Raises :class:`BadSError` before
+    allocating when the key bound passes ``MAX_KEYS``.
     """
-    pairs = len(pair_order(k))
-    p = partition.p
-    s = partition.s
-    length = partition.length
-    bounds = partition.bounds
-    # A last-pair interval reaches the multiple M iff it meets [M-hi, M-lo].
-    for prefix in product(range(s), repeat=pairs - 1):
-        lo = sum(bounds[i][0] for i in prefix)
-        hi = sum(bounds[i][1] - 1 for i in prefix)
-        found: set[int] = set()
-        multiple = -(-lo // p) * p
-        while multiple <= hi + p - 1:
-            x_lo = max(0, multiple - hi)
-            x_hi = min(p - 1, multiple - lo)
-            if x_lo <= x_hi:
-                found.update(range(x_lo // length,
-                                   min(x_hi // length, s - 1) + 1))
-            multiple += p
-        for j in sorted(found):
-            yield prefix + (j,)
+    _check_key_bound(partition, k, partition.s)
+    pairs, p, s = len(pair_order(k)), partition.p, partition.s
+    low, high = (np.array(partition.bounds, _dtype(pairs * p)) - [0, 1]).T
+    # Prefixes as base-s digits of their rank; np.indices allows 64 axes.
+    prefix = (np.arange(s ** (pairs - 1))[:, None]
+              // s ** np.arange(pairs - 2, -1, -1) % s)
+    lo, hi = low[prefix].sum(1), high[prefix].sum(1)
+    # The last index must meet [M-hi, M-lo], M a multiple of p: mod p, a run
+    # from (-hi) mod p over at most C(k,2) intervals, +1 where it wraps.
+    first = ((-hi) % p // partition.length).astype(np.int64)
+    last = np.sort((first[:, None] + np.arange(min(pairs + 1, s))) % s, 1)
+    ok = (hi[:, None] + high[last]) // p * p >= lo[:, None] + low[last]
+    return np.column_stack((prefix.repeat(ok.sum(1), 0), last[ok]))
+
+
+def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKey]:
+    """The rows of :func:`admissible_keys`, in order, as tuples of ints."""
+    return map(tuple, admissible_keys(partition, k).tolist())
 
 
 def arc_table(g: WeightedKPartiteGraph, hashed: np.ndarray,
@@ -302,12 +315,6 @@ class SolveReport:
 # Keys per scan of the solve grow by this factor: 1, 8, 64, ...
 _GROWTH = 8
 
-# The most admissible keys a solve may walk.  A reduced s whose key
-# bound (C(k,2)+1) * s**(C(k,2)-1) (see admissible_tuples) passes it is
-# refused before any hashing or walk: at k=3 s may go up to 1024, at
-# k=4 up to 14, at k=5 up to 4 (2,883,584 keys).
-MAX_KEYS = 2 ** 22
-
 
 def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
                        seed: int) -> SolveReport:
@@ -319,7 +326,7 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     weights and orients the base graph once (:func:`orient`).
     One pass over the arcs gives each its part-pair slot, hashed
     interval and original weight, as arrays in arc-key order.  The
-    admissible keys are then taken in lexicographic order, in groups of
+    :func:`admissible_keys` table is then sliced, in order, into groups of
     1, ``_GROWTH``, ``_GROWTH``**2, ... keys.  A group's orientation
     keeps the base arcs whose (slot, interval) occurs in one of its
     keys; once that is every arc, the group takes all remaining keys and
@@ -340,9 +347,9 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     key of its own hashed edge weights, and that key is admissible, so
     an existing witness cannot be missed.
 
-    ``extract_s`` counts the orientation, the arc pass and every group's
-    key table and orientation; ``search_s`` the group scans with their
-    checks.
+    ``extract_s`` counts the orientation, the arc pass, the key table
+    and every group's arc selection and orientation; ``search_s`` the
+    group scans with their checks.
     """
     if k < 3:
         raise ValueError(f"k={k} must be at least 3")
@@ -353,11 +360,7 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     t0 = perf_counter()
     p = next_prime_above(max(k * k * g.weight_bound, g.base.n))
     partition = partition_intervals(p, s)
-    pairs = pair_order(k)
-    bound = (len(pairs) + 1) * partition.s ** (len(pairs) - 1)
-    if bound > MAX_KEYS:
-        raise BadSError(f"s={s} gives up to {bound} admissible keys at "
-                        f"k={k}, above the limit {MAX_KEYS}")
+    _check_key_bound(partition, k, s)
     hashed = hash_edges(g, sample_hash_params(g, p, seed))
     n, s = g.base.n, partition.s
     report = SolveReport(witness=None, p=p, s=s)
@@ -365,35 +368,31 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     report.hash_s = t1 - t0
 
     oriented = orient(g.base)
-    keys, slot, interval, weight, _ = arc_table(g, hashed, partition,
-                                                oriented)
-    # A key's code in mixed radix s: lexicographic order is code order.
-    radix = np.array([s ** i for i in range(len(pairs) - 1, -1, -1)],
-                     _dtype(s ** len(pairs)))
+    keys, slot, interval, weight, pairs = arc_table(g, hashed, partition,
+                                                    oriented)
+    table = admissible_keys(partition, k)
+    # Mixed-radix codes keep key order; s**C(k,2) <= 2**30 fits int64.
+    radix = s ** np.arange(pairs - 1, -1, -1)
+    table_codes = table @ radix
     place = interval * radix[slot]
     # Column pairs of a clique's position row, whose arcs it holds.
-    first, second = np.array(pairs).T
+    first, second = np.array(pair_order(k)).T
     report.extract_s = perf_counter() - t1
 
-    remaining = admissible_tuples(partition, k)
-    size, listed = 1, 0
-    while True:
+    start, size, listed = 0, 1, 0
+    while start < len(table):
         b0 = perf_counter()
-        group = list(islice(remaining, size))
-        if not group:
-            break
-        table = np.array(group, np.int64)
-        allowed = np.zeros((len(pairs), s), bool)
-        allowed[np.arange(len(pairs)), table] = True
+        stop = start + size
+        allowed = np.zeros((pairs, s), bool)
+        allowed[np.arange(pairs), table[start:stop]] = True
         kept = allowed[slot, interval]
         if kept.all():
-            group += remaining
-            table = np.array(group, np.int64)
+            stop = len(table)
             selected = oriented
         else:
             selected = Orientation.from_keys(n, oriented.order, keys[kept])
-        codes = (table * radix).sum(1)
-        counts = np.zeros(len(group), np.int64)
+        codes = table_codes[start:stop]
+        counts = np.zeros(len(codes), np.int64)
         # (rank in the group, its key's cliques up to it, its positions)
         best: Optional[tuple[int, int, np.ndarray]] = None
 
@@ -427,8 +426,8 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
             report.cliques_listed_total = (listed + int(counts[:r].sum())
                                            + upto)
             return report
-        report.buckets_examined += len(group)
+        report.buckets_examined += len(codes)
         listed += int(counts.sum())
-        size *= _GROWTH
+        start, size = stop, size * _GROWTH
     report.cliques_listed_total = listed
     return report

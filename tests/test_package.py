@@ -28,14 +28,14 @@ PUBLIC = [
     "brute_4cycles", "brute_kcliques", "brute_triangles",
     "brute_zero_kclique",
     "HashParams", "IntervalPartition", "SolveReport",
-    "WeightedKPartiteGraph", "admissible_tuples", "arc_table", "choose_s",
-    "extract_bucket", "hash_edges", "partition_intervals",
-    "sample_hash_params", "solve_zero_kclique",
+    "WeightedKPartiteGraph", "admissible_keys", "admissible_tuples",
+    "arc_table", "choose_s", "extract_bucket", "hash_edges",
+    "partition_intervals", "sample_hash_params", "solve_zero_kclique",
 ]
 
 
 def test_all_lists_the_public_names_once():
-    assert len(PUBLIC) == 68
+    assert len(PUBLIC) == 69
     assert arbolist.__all__ == PUBLIC
     assert len(set(arbolist.__all__)) == len(arbolist.__all__)
 

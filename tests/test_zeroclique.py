@@ -12,6 +12,7 @@ from arbolist import (
     HashParams,
     IntervalPartition,
     WeightedKPartiteGraph,
+    admissible_keys,
     admissible_tuples,
     arc_table,
     brute_kcliques,
@@ -257,14 +258,40 @@ def test_admissible_single_bucket_always_all_zeros():
     part = partition_intervals(101, 1)
     assert list(admissible_tuples(part, 3)) == [(0, 0, 0)]
     assert list(admissible_tuples(part, 4)) == [(0,) * 6]
+    # 66 part pairs: more than numpy's 64 array dimensions
+    assert list(admissible_tuples(part, 12)) == [(0,) * 66]
 
 
 def test_admissible_matches_brute_filter():
-    for p, s, k in ((13, 4, 3), (13, 2, 3), (31, 5, 3), (101, 2, 4)):
+    """The keys are the brute filter's, in lexicographic order: also for
+    a p above 2**63 (exact ints), k=2, k=5, an s at most C(k,2) (the
+    candidate window wraps onto itself) and short last intervals
+    (13 = 3*4 + 1, 101 = 5*17 + 16)."""
+    big = 2 ** 63 + 29  # prime
+    for p, s, k in ((13, 4, 3), (13, 2, 3), (31, 5, 3), (101, 2, 4),
+                    (big, 5, 3), (big, 3, 4), (10 ** 19 + 51, 7, 3),
+                    (13, 6, 2), (101, 7, 2), (13, 2, 5), (101, 2, 5),
+                    (13, 3, 3), (101, 3, 4), (101, 6, 3)):
         part = partition_intervals(p, s)
-        fast = list(admissible_tuples(part, k))
-        assert fast == sorted(set(fast))
-        assert set(fast) == _brute_admissible(part, k)
+        assert (list(admissible_tuples(part, k))
+                == sorted(_brute_admissible(part, k))), (p, s, k)
+
+
+def test_admissible_keys_at_the_limit_and_past_it(monkeypatch):
+    """At the key limit (k=3, s=1024) the table holds 3,145,728 int64
+    rows in strictly increasing mixed-radix order; a partition whose key
+    bound passes the limit is refused before any array is made."""
+    table = admissible_keys(partition_intervals(9_000_000_001, 1024), 3)
+    assert table.dtype == np.int64 and table.shape == (3_145_728, 3)
+    assert (np.diff(table @ [1024 ** 2, 1024, 1]) > 0).all()
+    monkeypatch.setattr(zeroclique, "MAX_KEYS", 4 * 6 ** 2)
+    # p = 101: s = 6 keeps 6 intervals (bound 144), s = 7 keeps 7 (196)
+    assert len(admissible_keys(partition_intervals(101, 6), 3)) <= 144
+    monkeypatch.setattr(zeroclique, "np", None)
+    with pytest.raises(BadSError) as err:
+        admissible_keys(partition_intervals(101, 7), 3)
+    assert str(err.value) == ("s=7 gives up to 196 admissible keys at k=3, "
+                              "above the limit 144")
 
 
 def test_admissible_count_bound():
