@@ -2,15 +2,16 @@
 
 Format: one edge per line as "u v" (or "u v w" for weighted graphs),
 '#' starts a comment, blank lines are skipped.  An optional header
-comment "# n=<N> k=<K>" pins the vertex count (and part count for
-weighted k-partite files); without it n is max vertex id + 1.  Part
-labels live in a sibling file "<path>.labels" with one integer per line,
-one line per vertex, each read like a vertex id.  Fields follow ``int()``
-syntax.  numpy's ``loadtxt`` converts the data rows; a file it refuses is
-read line by line with ``int()``, which names the first faulty line.
-Every fault names its file and line; only a missing labels file and a
-wrong label count, faults of the whole file, name line 0.  Writers emit
-no timestamps, so rerunning a generator produces byte-identical files.
+comment "# n=<N> k=<K> w=<W>" pins the vertex count (and, for weighted
+k-partite files, the part count and the weight bound); without it n is
+max vertex id + 1.  Part labels live in a sibling file "<path>.labels"
+with one integer per line, one line per vertex, each read like a vertex
+id.  Fields follow ``int()`` syntax.  numpy's ``loadtxt`` converts the
+data rows; a file it refuses is read line by line with ``int()``, which
+names the first faulty line.  Every fault names its file and line; only
+a missing labels file and a wrong label count, faults of the whole file,
+name line 0.  Writers emit no timestamps, so rerunning a generator
+produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .zeroclique import WeightedKPartiteGraph, max_weight
 
 PathLike = Union[str, Path]
 
-_HEADER = re.compile(r"#\s*n=(\d+)(?:\s+k=(\d+))?\s*$")
+_HEADER = re.compile(r"#\s*n=(\d+)(?:\s+k=(\d+))?(?:\s+w=(\d+))?\s*$")
 # Vertex ids and n stay below this, so a stray huge id fails at its line
 # instead of sizing every per-vertex structure by it.
 ID_LIMIT = 2 ** 31
@@ -44,14 +45,15 @@ PART_SLACK = 256
 
 
 def _parse(path: PathLike, weighted: bool):
-    """n (from the header, else max id + 1) and the header's k, then the
-    file's lines and its data rows as ``_rows`` gives them."""
+    """n (from the header, else max id + 1), the header's k and w and
+    its line, then the file's lines and its data rows as ``_rows`` gives
+    them."""
     lines, top, data = _lines(path)
-    n, header_k = _header(path, top, weighted)
+    n, *header = _header(path, top, weighted)
     ids, weights = _rows(path, lines, data, 3 if weighted else 2, ID_LIMIT)
     if n is None:
         n = int(ids.max()) + 1 if len(ids) else 0
-    return n, header_k, lines, ids, weights
+    return n, header, lines, ids, weights
 
 
 def _lines(path: PathLike):
@@ -114,7 +116,8 @@ def _rows(path: PathLike, lines: list[str], data: list[str], want: int,
 
 
 def _header(path: PathLike, lines: list[str], weighted: bool):
-    """n and k of the first "# n=<N> [k=<K>]" line, or None for each.
+    """n, k and w of the first "# n=<N> [k=<K>] [w=<W>]" line, or None
+    for each, and that line's number (0 without one).
 
     A weighted file's k may not exceed both n and ``PART_SLACK``.
     """
@@ -124,12 +127,12 @@ def _header(path: PathLike, lines: list[str], weighted: bool):
             n = int(match.group(1))
             if n >= ID_LIMIT:
                 raise ParseError(path, lineno, f"n={n} is not below 2**31")
-            k = int(match.group(2)) if match.group(2) else None
+            k, w = (None if g is None else int(g) for g in match.group(2, 3))
             if weighted and k is not None and k > max(n, PART_SLACK):
                 raise ParseError(path, lineno, f"k={k} is above n={n} "
                                  f"and above {PART_SLACK}")
-            return n, k
-    return None, None
+            return n, k, w, lineno
+    return None, None, None, 0
 
 
 def _walk(path: PathLike, lines: list[str], want: int, limit: int):
@@ -210,11 +213,14 @@ def read_weighted_kpartite(path: PathLike,
     The part count comes from the header k= field when present, else
     max label + 1.  A label must be below the header's k, or without one
     below max(n, ``PART_SLACK``); a label that is not, and an edge within
-    one part, fail at their lines.  The weight bound is the largest |w|
-    observed; a weight too large for the solver on k parts fails at its
-    line.
+    one part, fail at their lines.  The weight bound is the header's w=,
+    which must lie between the largest |w| in the file and the solver's
+    limit for k parts, else the header line fails.  Without w= it is the
+    largest |w|, and a weight too large for the solver on k parts fails
+    at its line.
     """
-    n, header_k, lines, ids, row_weights = _parse(path, weighted=True)
+    n, (header_k, header_w, header_line), lines, ids, row_weights = _parse(
+        path, weighted=True)
     below = header_k if header_k is not None else max(n, PART_SLACK)
     labels = _sibling_labels(path, labels_path, n, below)
     if labels is None:
@@ -229,15 +235,19 @@ def read_weighted_kpartite(path: PathLike,
                          f"edge {tuple(ids[i].tolist())} lies within "
                          f"part {part[i, 0]}")
     weights = dict(zip(zip(*np.sort(ids, axis=1).T.tolist()), row_weights))
-    bound = max(map(abs, row_weights), default=0)
-    wg = WeightedKPartiteGraph(base, k, weights, bound)
+    largest = max(map(abs, row_weights), default=0)
     limit = max_weight(k)
-    if bound > limit:
+    if header_w is not None and not largest <= header_w <= limit:
+        why = (f"is below the largest |weight| {largest}" if header_w < largest
+               else f"is beyond the solver's limit {limit} for k={k}")
+        raise ParseError(path, header_line, f"w={header_w} {why}")
+    if largest > limit:
         i = next(i for i, w in enumerate(row_weights) if abs(w) > limit)
         raise ParseError(path, _linenos(lines)[i],
                          f"weight {row_weights[i]} is beyond the solver's "
                          f"limit {limit} for k={k}")
-    return wg
+    return WeightedKPartiteGraph(base, k, weights,
+                                 largest if header_w is None else header_w)
 
 
 def write_rows(fh, line: str, rows: np.ndarray) -> None:
@@ -268,5 +278,6 @@ def write_edge_list(path: PathLike, g: Graph,
 
 def write_weighted_kpartite(path: PathLike, wg: WeightedKPartiteGraph,
                             generator_comment: Optional[str] = None) -> None:
-    _write(path, generator_comment, f"n={wg.base.n} k={wg.k}", "%d %d %d\n",
+    _write(path, generator_comment,
+           f"n={wg.base.n} k={wg.k} w={wg.weight_bound}", "%d %d %d\n",
            np.column_stack((wg.ends, wg.w)), label_array(wg.base))

@@ -26,7 +26,11 @@ runs of thin frontiers, and hands what is left after a long run, or a
 remainder too small for a round, to the Matula-Beck loop
 (:func:`~arbolist.core.degeneracy_ordering`).  Every k, triangles
 included, is one level-wise numpy scan over the orientation, batched by
-``_BATCH``.  Cliques are grouped by their earliest vertex in the
+``_BATCH``.  It tests whether a candidate's arcs exist by reading a
+packed n * n bit table of the orientation when that table takes at most
+``_BIT_TABLE_RATIO`` times the 8 * m bytes of the arc keys, so the scan's
+memory stays O(m); on sparser orientations it searches the sorted arc
+keys instead.  Cliques are grouped by their earliest vertex in the
 degeneracy order, and within a group they follow the position of their
 later vertices.  4-cycles are grouped by their first vertex in
 decreasing-degree order; a batch of wedges is grouped by one default
@@ -188,6 +192,11 @@ def _oriented(g: Graph | Orientation) -> tuple[Orientation, float, float]:
 # 4-cycle scan.
 _BATCH = 4096
 
+# The clique scan tests arcs in a bit table of the orientation when its
+# n * n bits take at most this many times the 8 * m bytes of the arc
+# keys, so its memory stays O(m); else it searches the keys.
+_BIT_TABLE_RATIO = 4
+
 
 def _batches(cum: np.ndarray) -> Iterator[tuple[int, int]]:
     """Runs [lo, hi) of items holding about ``_BATCH`` candidates each,
@@ -201,6 +210,22 @@ def _batches(cum: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
+def _arc_bits(n: int, keys: np.ndarray) -> np.ndarray | None:
+    """The arcs of the sorted keys source * n + target as a packed bit
+    table, bit key % 8 of byte key // 8 set for each, built in O(m) from
+    the runs of keys sharing a byte; None, before any allocation, when
+    its n * n / 8 bytes pass ``_BIT_TABLE_RATIO`` times ``keys.nbytes``."""
+    size = (n * n + 7) // 8
+    if size > _BIT_TABLE_RATIO * keys.nbytes:
+        return None
+    byte = keys >> 3
+    first = np.flatnonzero(np.diff(byte, prepend=-1))
+    bits = np.zeros(size, np.uint8)
+    bits[byte[first]] = np.bitwise_or.reduceat(
+        np.left_shift(1, keys & 7).astype(np.uint8), first)
+    return bits
+
+
 def scan_cliques(o: Orientation, k: int,
                  consume: Callable[[np.ndarray], int | None]
                  ) -> tuple[int, int]:
@@ -208,11 +233,17 @@ def scan_cliques(o: Orientation, k: int,
 
     A level holds j-cliques as rows of positions in lexicographic order,
     the first the arcs of rows with k - 1 or more arcs.  The extensions
-    of row p1..pj are the w in out(pj) whose arcs pi->w all exist, one
-    ``searchsorted`` per earlier column deciding a batch; a row with
-    fewer than k - j of them is not extended.  A batch's extensions are
-    scanned before the next batch, so the k-cliques come in
-    lexicographic order of their positions, handed to ``consume`` a
+    of row p1..pj are the w in out(pj) whose arcs pi->w all exist, each
+    earlier column deciding a batch at once; a row with fewer than k - j
+    of them is not extended.  The arcs are read from the packed bit
+    table of :func:`_arc_bits` when its n * n / 8 bytes are at most
+    ``_BIT_TABLE_RATIO`` times the 8 * m bytes of the arc keys, so
+    memory stays O(m) (and the orientation is dense: m is at least
+    n^2 / (64 * ``_BIT_TABLE_RATIO``)); else they are found with one
+    ``searchsorted`` of the keys per earlier column.  The rule reads
+    only n and m, and both ways give the same rows.  A batch's
+    extensions are scanned before the next batch, so the k-cliques come
+    in lexicographic order of their positions, handed to ``consume`` a
     batch of rows at a time.  ``consume`` returns the index of the row
     it stopped at, or None to go on.  Returns the rows handed over up
     to the stop (or all), and ``steps``: the row of every clique reached
@@ -224,6 +255,7 @@ def scan_cliques(o: Orientation, k: int,
         return 0, o.m
     src = np.repeat(np.arange(n), out)
     keys = src * n + col
+    bits = _arc_bits(n, keys)
     # Level 1 reaches every vertex, so steps starts at the m arcs.
     steps, emitted = o.m, 0
 
@@ -246,13 +278,16 @@ def scan_cliques(o: Orientation, k: int,
             w = col[(ptr[last] - cum[lo:hi]).repeat(out[last])
                     + np.arange(cum[lo], cum[hi])]
             for c in range(j - 1):
-                # Every wanted arc leaves a position of column c in the
-                # batch: search only theirs.
                 p = rows[lo:hi, c]
-                near = keys[ptr[p.min()]:ptr[p.max() + 1]]
                 want = p[r] * n + w
-                hit = near[np.minimum(near.searchsorted(want),
-                                      len(near) - 1)] == want
+                if bits is not None:
+                    hit = (bits[want >> 3] >> (want & 7) & 1).astype(bool)
+                else:
+                    # Every wanted arc leaves a position of column c in
+                    # the batch: search only theirs.
+                    near = keys[ptr[p.min()]:ptr[p.max() + 1]]
+                    hit = near[np.minimum(near.searchsorted(want),
+                                          len(near) - 1)] == want
                 r, w = r[hit], w[hit]
             if j + 1 < k:
                 keep = (np.bincount(r, minlength=hi - lo) >= k - j)[r]
@@ -505,9 +540,13 @@ def list_kcliques(g: Graph | Orientation, k: int, sink: Sink, *,
     Danisch, Balalau & Sozio 2018), in O(m * degeneracy^(k-2)) time plus
     the output size.  k=2 emits every edge.  Every k is one level-wise
     scan: the j-cliques of a level are extended by their last vertex's
-    row, a batch at a time, and checked against the other rows with
-    ``searchsorted``.  ``preprocess_time`` is :func:`orient`'s ordering
-    and one-sort CSR, ``emit_time`` the scan with the sink calls.
+    row, a batch at a time, and checked against the other rows: in a
+    packed bit table of the arcs when its n * n / 8 bytes are at most
+    ``_BIT_TABLE_RATIO`` times the 8 * m bytes of the arc keys, so
+    memory stays O(m), else with ``searchsorted`` over the sorted keys
+    (see :func:`scan_cliques`).  ``preprocess_time`` is :func:`orient`'s
+    ordering and one-sort CSR, ``emit_time`` the scan with the sink
+    calls.
 
     Emission order: cliques are grouped by their earliest vertex in the
     orientation's order; within a group they follow the rows, which

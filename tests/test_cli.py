@@ -110,11 +110,11 @@ def test_gen_polarity_47_bytes_are_pinned(tmp_path, capsys):
      "sparse-triangle n_param=500 sigma=0.25 seed=0", "n=105", 105, 187),
     (["zero-clique", "--k", "3", "--n-part", "6", "--seed", "4"],
      "zero-clique k=3 n_part=6 edge_prob=0.5 weight_bound=50 seed=4 "
-     "planted=False", "n=18 k=3", 18, 61),
+     "planted=False", "n=18 k=3 w=50", 18, 61),
     (["zero-clique", "--k", "3", "--n-part", "6", "--seed", "4",
       "--planted"],
      "zero-clique k=3 n_part=6 edge_prob=0.5 weight_bound=50 seed=4 "
-     "planted=True", "n=18 k=3", 18, 62),
+     "planted=True", "n=18 k=3 w=50", 18, 62),
 ])
 def test_gen_writes_its_options_in_the_comment_line(tmp_path, capsys, argv,
                                                      comment, header, n, m):

@@ -29,7 +29,7 @@ from arbolist.graphio import (
     write_weighted_kpartite,
 )
 
-from arbolist.zeroclique import max_weight
+from arbolist.zeroclique import max_weight, solve_zero_kclique
 
 from .conftest import complete, small_graphs
 
@@ -112,7 +112,8 @@ def test_weighted_writer_matches_per_row_text(tmp_path, monkeypatch, weights):
     p = tmp_path / "w.txt"
     write_weighted_kpartite(p, wg, generator_comment="gen")
     rows = [(u, v, weights[u, v]) for u, v in base.edges()]
-    text, labels = _per_row_text("# n=4 k=3\n", rows, base.part_label)
+    text, labels = _per_row_text(f"# n=4 k=3 w={wg.weight_bound}\n", rows,
+                                 base.part_label)
     assert p.read_text() == text
     assert (tmp_path / "w.txt.labels").read_text() == labels
 
@@ -433,7 +434,48 @@ def test_weighted_round_trip(tmp_path):
     assert back.k == 3
     assert back.base.edge_set() == wg.base.edge_set()
     assert back.weights == wg.weights
-    assert back.weight_bound == max(abs(w) for w in wg.weights.values())
+    # The header keeps the bound, above the largest drawn |w| of 19.
+    assert back.weight_bound == wg.weight_bound == 20
+
+
+def test_written_instance_solves_as_in_process(tmp_path):
+    """With every weight far under the bound, p still comes from the
+    bound after a write and a read, as it does in process."""
+    wg = random_weighted_kpartite(3, 6, 0.5, 10 ** 6, 2)
+    ones = WeightedKPartiteGraph(wg.base, 3, dict.fromkeys(wg.weights, 1),
+                                 wg.weight_bound)
+    p = tmp_path / "w.txt"
+    write_weighted_kpartite(p, ones)
+    back = read_weighted_kpartite(p)
+    assert back.weight_bound == 10 ** 6
+    want, got = (solve_zero_kclique(x, 3, 4, 0) for x in (ones, back))
+    assert want.p == got.p == 9000011
+
+
+@pytest.mark.parametrize("w", [5, max_weight(3)], ids=["largest", "limit"])
+def test_weighted_header_w_is_the_bound(tmp_path, w):
+    p = tmp_path / "w.txt"
+    p.write_text(f"# n=3 k=3 w={w}\n0 1 5\n1 2 -3\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n2\n")
+    assert read_weighted_kpartite(p).weight_bound == w
+
+
+@pytest.mark.parametrize("w, top, message", [
+    (4, 5, "w=4 is below the largest |weight| 5"),
+    (max_weight(3) + 1, 5, f"w={max_weight(3) + 1} is beyond the solver's "
+                           f"limit {max_weight(3)} for k=3"),
+    (max_weight(3) + 1, max_weight(3) + 1,
+     f"w={max_weight(3) + 1} is beyond the solver's limit"),
+], ids=["below-largest", "beyond-limit", "at-largest-beyond-limit"])
+def test_weighted_header_w_out_of_range_fails_at_the_header(tmp_path, w, top,
+                                                            message):
+    p = tmp_path / "w.txt"
+    p.write_text(f"# gen\n# n=3 k=3 w={w}\n0 1 {top}\n1 2 -3\n")
+    (tmp_path / "w.txt.labels").write_text("0\n1\n2\n")
+    with pytest.raises(ParseError) as err:
+        read_weighted_kpartite(p)
+    assert err.value.lineno == 2
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("ten", ["10", "1_0"])

@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -535,6 +536,15 @@ def reference_kcliques(g, k, sink, make):
     return label_walk(order, out, k, sink, make)
 
 
+def with_arc_tests(values, ids):
+    """Each value paired with the ``_BIT_TABLE_RATIO`` that makes the
+    clique scan search the arc keys, under its own id, and with the one
+    that makes it read the bit table, under its id plus "-bits"."""
+    return ([pytest.param(v, 0, id=i) for v, i in zip(values, ids)]
+            + [pytest.param(v, math.inf, id=f"{i}-bits")
+               for v, i in zip(values, ids)])
+
+
 # Each scan to check against the walk: its k, the lister and the record
 # the walk should make of an ascending id tuple.
 SCANS = {
@@ -571,18 +581,22 @@ def assert_scan_matches_the_walk(g, k, lister, make, every_stop=False):
 
 
 @pytest.mark.parametrize("lister", sorted(SCANS))
-@pytest.mark.parametrize("batch", [1, 7, 4096])
+@pytest.mark.parametrize("batch, ratio",
+                         with_arc_tests([1, 7, 4096], ["1", "7", "4096"]))
 @settings(max_examples=30, deadline=None)
 @given(g=small_graphs(max_n=10))
-def test_k3_scan_matches_the_label_walk(lister, batch, g):
-    """Every scan, k = 2 to 5, against the walk at every stop."""
+def test_k3_scan_matches_the_label_walk(lister, batch, ratio, g):
+    """Every scan, k = 2 to 5, against the walk at every stop, with the
+    arcs searched and read from the bit table."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(listing, "_BATCH", batch)
+        mp.setattr(listing, "_BIT_TABLE_RATIO", ratio)
         assert_scan_matches_the_walk(g, *SCANS[lister], every_stop=True)
 
 
 @pytest.mark.parametrize("lister", sorted(SCANS))
-@pytest.mark.parametrize("batch", [64, 4096])
+@pytest.mark.parametrize("batch, ratio",
+                         with_arc_tests([64, 4096], ["64", "4096"]))
 @pytest.mark.parametrize("make", [
     lambda: c4_block_family(2000, 1),
     lambda: polarity_graph(23),
@@ -594,22 +608,26 @@ def test_k3_scan_matches_the_label_walk(lister, batch, g):
 ], ids=["c4-blocks-2000", "polarity-23", "gnm-5000", "empty", "edgeless",
         "isolated", "k9"])
 def test_k3_scan_matches_the_label_walk_on_fixed_graphs(monkeypatch, make,
-                                                        batch, lister):
+                                                        batch, ratio, lister):
     """Every scan, k = 2 to 5, against the walk on graphs above
-    hypothesis's sizes and on edge cases."""
+    hypothesis's sizes and on edge cases, with the arcs searched and
+    read from the bit table."""
     monkeypatch.setattr(listing, "_BATCH", batch)
+    monkeypatch.setattr(listing, "_BIT_TABLE_RATIO", ratio)
     assert_scan_matches_the_walk(make(), *SCANS[lister])
 
 
-@pytest.mark.parametrize("make", [
+@pytest.mark.parametrize("make, ratio", with_arc_tests([
     lambda: polarity_graph(31),
+    lambda: polarity_graph(47),
     lambda: random_gnm(1500, 30000, 8),
     lambda: c4_block_family(300, 2),
-], ids=["polarity-31", "gnm-1500", "c4-blocks-300"])
-def test_triangle_count_matches_numpy_trace(make):
-    """Above the triangle oracle's guard: the scan's count is
-    trace(A^3) / 6, and the orientation's largest out-degree is the
-    degeneracy."""
+], ["polarity-31", "polarity-47", "gnm-1500", "c4-blocks-300"]))
+def test_triangle_count_matches_numpy_trace(monkeypatch, make, ratio):
+    """Above the triangle oracle's guard: the scan's count, with the
+    arcs searched and read from the bit table, is trace(A^3) / 6, and
+    the orientation's largest out-degree is the degeneracy."""
+    monkeypatch.setattr(listing, "_BIT_TABLE_RATIO", ratio)
     g = make()
     assert g.n > MAX_TRIANGLE_N
     a = np.zeros((g.n, g.n), dtype=np.float32)
@@ -622,6 +640,42 @@ def test_triangle_count_matches_numpy_trace(make):
     assert count_kcliques(g, 3) == got
     out = np.diff(orient(g).indptr)
     assert out.max() == degeneracy_ordering(g).degeneracy
+
+
+@pytest.mark.parametrize("make, table", [
+    (lambda: polarity_graph(37), True),
+    (lambda: polarity_graph(47), True),
+    (lambda: polarity_graph(23), True),
+    (lambda: complete(9), True),
+    (lambda: random_gnm(2000, 16000, 1), True),
+    (lambda: random_gnm(2000, 12500, 1), False),
+    (lambda: c4_block_family(15000, 1), False),
+    (lambda: random_gnm(5000, 25000, 3), False),
+], ids=["polarity-37", "polarity-47", "polarity-23", "k9", "gnm-2000-16000",
+        "gnm-2000-12500", "c4-blocks-15000", "gnm-5000"])
+def test_scan_takes_the_bit_table_only_within_its_memory_bound(monkeypatch,
+                                                               make, table):
+    """The scan reads a bit table for the benchmark's dense list graphs,
+    polarity q=37 and 47, and searches the keys of c4_block_family(15000);
+    a table holds exactly the arcs and takes at most ``_BIT_TABLE_RATIO``
+    times the 8 * m bytes of their keys.  The two gnm-2000 graphs sit
+    either side of that bound: their tables would take 3.9 and 5 times."""
+    arc_bits, seen = listing._arc_bits, []
+
+    def spy(n, keys):
+        seen.append((n, keys, arc_bits(n, keys)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(listing, "_arc_bits", spy)
+    g = make()
+    count_triangles(g)
+    [(n, keys, bits)] = seen
+    assert (n, len(keys)) == (g.n, g.m)
+    assert (bits is not None) == table
+    if table:
+        assert bits.nbytes <= listing._BIT_TABLE_RATIO * 8 * g.m
+        assert np.array_equal(
+            np.flatnonzero(np.unpackbits(bits, bitorder="little")), keys)
 
 
 @settings(max_examples=40, deadline=None)
