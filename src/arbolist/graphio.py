@@ -124,10 +124,13 @@ def _header(path: PathLike, lines: list[str], weighted: bool):
     for lineno, line in enumerate(map(str.strip, lines), 1):
         match = line[:1] == "#" and _HEADER.match(line)
         if match:
-            n = int(match.group(1))
+            try:
+                n, k, w = (g and int(g) for g in match.groups())
+            except ValueError:  # more digits than int() converts
+                raise ParseError(path, lineno, "a header number has too "
+                                 "many digits") from None
             if n >= ID_LIMIT:
                 raise ParseError(path, lineno, f"n={n} is not below 2**31")
-            k, w = (None if g is None else int(g) for g in match.group(2, 3))
             if weighted and k is not None and k > max(n, PART_SLACK):
                 raise ParseError(path, lineno, f"k={k} is above n={n} "
                                  f"and above {PART_SLACK}")

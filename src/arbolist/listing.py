@@ -20,8 +20,8 @@ The scans build every batch as an array; a per-record sink gets its
 records through one adapter, :func:`_per_record`.
 
 Triangles and k-cliques read one degeneracy orientation
-(:func:`orient`): the ordering, then one sort of the arc keys into a CSR
-in positions.  The ordering peels a graph in numpy rounds, through short
+(:func:`orient`): the ordering, then one sort of the arc keys in
+positions.  The ordering peels a graph in numpy rounds, through short
 runs of thin frontiers, and hands what is left after a long run, or a
 remainder too small for a round, to the Matula-Beck loop
 (:func:`~arbolist.core.degeneracy_ordering`).  Every k, triangles
@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Graph, csr_from_keys, degeneracy_ordering
+from .core import Graph, degeneracy_ordering
 from .errors import KTooSmallError
 
 
@@ -102,14 +102,15 @@ def clique_record(vertices) -> CliqueRecord:
 class EnumerationStats:
     """Instrumentation attached to one enumeration run.
 
-    ``preprocess_time`` is the vertex ordering plus the one-sort CSR
-    built from it, 0 when a lister is handed an :class:`Orientation`;
-    ``emit_time`` is everything after that, the scan together with the
-    sink calls.  ``steps`` counts inner-loop iterations (adjacency
-    entries scanned: for cliques the row of every clique reached below
-    k, so for triangles the arcs plus the wedges; plus vertex pairs
-    assembled by the 4-cycle lister); it is the machine-independent
-    work signal the benchmarks normalize against.
+    ``preprocess_time`` is the vertex ordering plus the one sort of the
+    arc keys in its positions, 0 when a lister is handed an
+    :class:`Orientation`; ``emit_time`` is everything after that, the
+    scan (its row offsets included) together with the sink calls.
+    ``steps`` counts inner-loop iterations (adjacency entries scanned:
+    for cliques the row of every clique reached below k, so for
+    triangles the arcs plus the wedges; plus vertex pairs assembled by
+    the 4-cycle lister); it is the machine-independent work signal the
+    benchmarks normalize against.
     """
 
     preprocess_time: float = 0.0
@@ -138,35 +139,29 @@ class Orientation(NamedTuple):
     """A graph with each edge pointed at its later endpoint in ``order``.
 
     Vertices are named by their positions in ``order``, a read-only
-    int64 array: row i of the read-only int64 CSR ``indptr``/``indices``
-    lists, ascending, the positions later than i adjacent to vertex
-    ``order[i]``.  ``m`` is the number of arcs.
+    int64 array.  ``keys`` holds the arcs as ascending int64 keys
+    source * n + target in positions, so the arcs of a source are one
+    run, ascending by target; ``m`` is the number of arcs.
     """
 
     n: int
-    m: int
     order: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    keys: np.ndarray
 
-    @classmethod
-    def from_keys(cls, n: int, order: np.ndarray,
-                  keys: np.ndarray) -> "Orientation":
-        """The orientation whose arcs are the sorted keys source * n +
-        target, in positions of ``order``."""
-        return cls(n, len(keys), order, *csr_from_keys(keys, n))
+    @property
+    def m(self) -> int:
+        return len(self.keys)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield every edge once as (u, v) with u < v."""
-        u = self.order[np.repeat(np.arange(self.n), np.diff(self.indptr))]
-        v = self.order[self.indices]
-        return zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist())
+        ends = np.sort(self.order[np.array(np.divmod(self.keys, self.n))], 0)
+        return zip(*ends.tolist())
 
 
 def orient(g: Graph) -> Orientation:
     """Degeneracy orientation: every edge pointed from its earlier to its
-    later endpoint in the degeneracy order, as one CSR in positions built
-    with one sort of the arc keys."""
+    later endpoint in the degeneracy order, as the read-only sorted arc
+    keys in positions, built with one sort."""
     order = degeneracy_ordering(g).array
     n = g.n
     pos = np.empty(n, np.int64)
@@ -176,7 +171,8 @@ def orient(g: Graph) -> Orientation:
     up = src < dst
     keys = src[up] * n + dst[up]
     keys.sort()
-    return Orientation.from_keys(n, order, keys)
+    keys.flags.writeable = False
+    return Orientation(n, order, keys)
 
 
 def _oriented(g: Graph | Orientation) -> tuple[Orientation, float, float]:
@@ -231,12 +227,14 @@ def scan_cliques(o: Orientation, k: int,
                  ) -> tuple[int, int]:
     """Every k-clique of ``o``, k >= 2, by a level-wise scan.
 
-    A level holds j-cliques as rows of positions in lexicographic order,
-    the first the arcs of rows with k - 1 or more arcs.  The extensions
-    of row p1..pj are the w in out(pj) whose arcs pi->w all exist, each
-    earlier column deciding a batch at once; a row with fewer than k - j
-    of them is not extended.  The arcs are read from the packed bit
-    table of :func:`_arc_bits` when its n * n / 8 bytes are at most
+    The scan first counts each position's arcs in ``o.keys``, whose
+    runs by source are the out-rows, ascending.  A level holds j-cliques
+    as rows of positions in lexicographic order, the first the arcs of
+    rows with k - 1 or more arcs.  The extensions of row p1..pj are the
+    w in out(pj) whose arcs pi->w all exist, each earlier column
+    deciding a batch at once; a row with fewer than k - j of them is not
+    extended.  The arcs are read from the packed bit table of
+    :func:`_arc_bits` when its n * n / 8 bytes are at most
     ``_BIT_TABLE_RATIO`` times the 8 * m bytes of the arc keys, so
     memory stays O(m) (and the orientation is dense: m is at least
     n^2 / (64 * ``_BIT_TABLE_RATIO``)); else they are found with one
@@ -249,12 +247,12 @@ def scan_cliques(o: Orientation, k: int,
     to the stop (or all), and ``steps``: the row of every clique reached
     below level k.
     """
-    n, ptr, col = o.n, o.indptr, o.indices
-    out = ptr[1:] - ptr[:-1]
+    n, keys = o.n, o.keys
+    src, col = np.divmod(keys, n)
+    out = np.bincount(src, minlength=n)
     if int(out.max(initial=0)) < k - 1:
         return 0, o.m
-    src = np.repeat(np.arange(n), out)
-    keys = src * n + col
+    ptr = np.concatenate(([0], out.cumsum()))
     bits = _arc_bits(n, keys)
     # Level 1 reaches every vertex, so steps starts at the m arcs.
     steps, emitted = o.m, 0
@@ -355,7 +353,7 @@ def list_triangles(g: Graph | Orientation, sink: Sink, *,
 
     The k=3 case of :func:`list_kcliques`, with records as ascending
     :class:`TriangleRecord` triples (rows a, b, c with ``batches``).
-    ``preprocess_time`` is the ordering and the one-sort CSR of
+    ``preprocess_time`` is the ordering and the one key sort of
     :func:`orient` (0 when handed an :class:`Orientation`),
     ``emit_time`` the clique scan with the sink calls.
     """
@@ -545,12 +543,12 @@ def list_kcliques(g: Graph | Orientation, k: int, sink: Sink, *,
     ``_BIT_TABLE_RATIO`` times the 8 * m bytes of the arc keys, so
     memory stays O(m), else with ``searchsorted`` over the sorted keys
     (see :func:`scan_cliques`).  ``preprocess_time`` is :func:`orient`'s
-    ordering and one-sort CSR, ``emit_time`` the scan with the sink
+    ordering and one key sort, ``emit_time`` the scan with the sink
     calls.
 
     Emission order: cliques are grouped by their earliest vertex in the
-    orientation's order; within a group they follow the rows, which
-    :func:`orient` keeps sorted by the position of the later vertices.
+    orientation's order; within a group they follow the position of the
+    later vertices, by which :func:`orient` sorts the arc keys.
     That order is :func:`~arbolist.core.degeneracy_ordering`'s: a
     peeling round places its vertices in ascending id, and the
     Matula-Beck loop, which orders what a long run of thin rounds or a

@@ -241,25 +241,22 @@ def admissible_tuples(partition: IntervalPartition, k: int) -> Iterator[BucketKe
 
 def arc_table(g: WeightedKPartiteGraph, hashed: np.ndarray,
               partition: IntervalPartition, oriented: Orientation) -> tuple:
-    """The arcs of ``oriented = orient(g.base)`` in key order, as arrays
-    read from the instance's: their keys source * n + target in
-    positions, part-pair slots, the intervals of their ``hashed``
-    weights (from :func:`hash_edges`, in edge order) and their original
-    weights ``g.w``; then the number of part pairs, C(k,2), which
-    counts pairs that have no edge too.
+    """The arcs of ``oriented = orient(g.base)``, aligned to its
+    ``keys``, as arrays read from the instance's: their part-pair slots,
+    the intervals of their ``hashed`` weights (from :func:`hash_edges`,
+    in edge order) and their original weights ``g.w``; then the number
+    of part pairs, C(k,2), which counts pairs that have no edge too.
     """
     n, k = oriented.n, g.k
     pos = np.empty(n, np.int64)
     pos[oriented.order] = np.arange(n)
-    src, dst = pos[g.ends].T
-    keys = np.minimum(src, dst) * n + np.maximum(src, dst)
-    by = keys.argsort()
+    src, dst = np.sort(pos[g.ends], 1).T
+    by = (src * n + dst).argsort()
     # The index of the edge's part pair (a, b), a < b, in pair_order(k).
     a, b = np.sort(g.part[g.ends], 1).T
     slot = a * (2 * k - a - 1) // 2 + b - a - 1
     interval = partition.interval_of(hashed)
-    return (keys[by], slot[by], interval[by].astype(np.int64), g.w[by],
-            len(pair_order(k)))
+    return slot[by], interval[by].astype(np.int64), g.w[by], len(pair_order(k))
 
 
 def extract_bucket(oriented: Orientation, arcs: tuple,
@@ -267,16 +264,16 @@ def extract_bucket(oriented: Orientation, arcs: tuple,
     """Bucket keeping, per part pair, the edges hashed into the keyed interval.
 
     ``arcs`` comes from :func:`arc_table` with the same ``oriented``.
-    The bucket's CSR is built from the arcs whose interval is the key's
-    entry at their slot, one mask over the arc table, which is already
-    in key order; no validation or :class:`Graph`.  Vertex ids are kept,
+    The bucket keeps the arc keys whose interval is the key's entry at
+    their slot, one mask over the arc table, which is aligned to the
+    keys; no validation or :class:`Graph`.  Vertex ids are kept,
     so its cliques are cliques of the original graph.
     """
-    keys, slot, interval, _, pairs = arcs
+    slot, interval, _, pairs = arcs
     if len(key) != pairs:
         raise ValueError(f"key has {len(key)} entries, expected {pairs}")
     kept = np.asarray(key, np.int64)[slot] == interval
-    return Orientation.from_keys(oriented.n, oriented.order, keys[kept])
+    return Orientation(oriented.n, oriented.order, oriented.keys[kept])
 
 
 def choose_s(n: int, k: int, epsilon: float) -> int:
@@ -368,8 +365,7 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
     report.hash_s = t1 - t0
 
     oriented = orient(g.base)
-    keys, slot, interval, weight, pairs = arc_table(g, hashed, partition,
-                                                    oriented)
+    slot, interval, weight, pairs = arc_table(g, hashed, partition, oriented)
     table = admissible_keys(partition, k)
     # Mixed-radix codes keep key order; s**C(k,2) <= 2**30 fits int64.
     radix = s ** np.arange(pairs - 1, -1, -1)
@@ -390,7 +386,7 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
             stop = len(table)
             selected = oriented
         else:
-            selected = Orientation.from_keys(n, oriented.order, keys[kept])
+            selected = Orientation(n, oriented.order, oriented.keys[kept])
         codes = table_codes[start:stop]
         counts = np.zeros(len(codes), np.int64)
         # (rank in the group, its key's cliques up to it, its positions)
@@ -398,7 +394,8 @@ def solve_zero_kclique(g: WeightedKPartiteGraph, k: int, s: int,
 
         def consume(rows: np.ndarray) -> Optional[int]:
             nonlocal best, counts
-            arcs = keys.searchsorted(rows[:, first] * n + rows[:, second])
+            arcs = oriented.keys.searchsorted(rows[:, first] * n
+                                              + rows[:, second])
             code = place[arcs].sum(1)
             rank = np.minimum(codes.searchsorted(code), len(codes) - 1)
             at = np.flatnonzero(codes[rank] == code)

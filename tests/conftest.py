@@ -64,13 +64,13 @@ def assert_same_graph(got: Graph, want: Graph) -> None:
 
 
 def out_lists(oriented):
-    """An Orientation's CSR rows as per-vertex lists: entry v holds v's
-    later neighbours as vertex ids, in the row's order."""
+    """An Orientation's out-rows as per-vertex lists: entry v holds v's
+    later neighbours as vertex ids, in the order of their arc keys."""
     order = oriented.order.tolist()
     out = [[] for _ in range(oriented.n)]
-    for i, v in enumerate(order):
-        row = oriented.indices[oriented.indptr[i]:oriented.indptr[i + 1]]
-        out[v] = [order[p] for p in row.tolist()]
+    for key in oriented.keys.tolist():
+        source, target = divmod(key, oriented.n)
+        out[order[source]].append(order[target])
     return out
 
 

@@ -580,6 +580,24 @@ def test_weighted_header_k_above_n_fails_fast_at_its_line(tmp_path):
     assert "k=1000000000000 is above n=3 and above 256" in str(err.value)
 
 
+@pytest.mark.parametrize("read, header, rows", [
+    (read_edge_list, "# n={}", "0 1\n"),
+    (read_weighted_kpartite, "# n=3 k={} w=5", "0 1 4\n"),
+    (read_weighted_kpartite, "# n=3 k=3 w={}", "0 1 4\n"),
+], ids=["n", "k", "w"])
+def test_header_number_past_int_digit_limit_fails_at_its_line(tmp_path, read,
+                                                              header, rows):
+    """A header field longer than ``int()`` converts (4300 digits by
+    default) is a ParseError at the header line, not a bare ValueError."""
+    p = tmp_path / "long.txt"
+    p.write_text("# gen\n" + header.format("9" * 5000) + "\n" + rows)
+    (tmp_path / "long.txt.labels").write_text("0\n1\n2\n")
+    with pytest.raises(ParseError) as err:
+        read(p)
+    assert err.value.lineno == 2
+    assert str(err.value) == f"{p}:2: a header number has too many digits"
+
+
 @pytest.mark.parametrize("header, k", [("# n=3 k=256", 256),
                                        ("# n=300 k=300", 300)])
 def test_weighted_header_k_up_to_the_limit_is_read(tmp_path, header, k):

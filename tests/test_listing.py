@@ -7,12 +7,14 @@ from math import comb
 
 import numpy as np
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from arbolist import listing
 from arbolist import (
     Collector,
     KTooSmallError,
+    Orientation,
     all_edge_sparse_triangle,
     brute_4cycles,
     brute_kcliques,
@@ -638,7 +640,8 @@ def test_triangle_count_matches_numpy_trace(monkeypatch, make, ratio):
     got = count_triangles(g)
     assert got > 0 and 6 * got == trace
     assert count_kcliques(g, 3) == got
-    out = np.diff(orient(g).indptr)
+    oriented = orient(g)
+    out = np.bincount(oriented.keys // oriented.n)
     assert out.max() == degeneracy_ordering(g).degeneracy
 
 
@@ -679,10 +682,65 @@ def test_scan_takes_the_bit_table_only_within_its_memory_bound(monkeypatch,
             np.flatnonzero(np.unpackbits(bits, bitorder="little")), keys)
 
 
+def test_orient_hands_out_read_only_keys():
+    """A write into an orientation's keys would corrupt every later scan
+    of it."""
+    oriented = orient(complete(5))
+    with pytest.raises(ValueError):
+        oriented.keys[0] = 0
+    assert count_triangles(oriented) == 10
+
+
+@st.composite
+def key_subsets(draw):
+    """An orientation of some of ``orient(g)``'s arcs, as the solver's
+    groups and buckets make them: random arcs dropped, and the rows of a
+    few random positions and of up to the last three emptied; also on
+    n = 0, and on complete graphs, so that k-cliques are left."""
+    g = draw(st.one_of(st.just(from_edge_list([], 0)), small_graphs(10),
+                       st.integers(1, 8).map(complete)))
+    oriented = orient(g)
+    source = oriented.keys // max(g.n, 1)
+    keep = np.ones(g.m, bool)
+    keep[draw(st.lists(st.integers(0, max(g.m - 1, 0)), max_size=g.m))] = 0
+    emptied = draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=3))
+    cut = g.n - draw(st.integers(0, 3))
+    keep &= ~np.isin(source, emptied) & (source < cut)
+    return Orientation(g.n, oriented.order, oriented.keys[keep])
+
+
+@pytest.mark.parametrize("k, ratio", with_arc_tests([2, 3, 4, 5]))
+@settings(max_examples=40, deadline=None)
+@given(sub=key_subsets())
+def test_scan_of_a_key_subset_matches_the_walk(k, ratio, sub):
+    """``scan_cliques`` and ``list_kcliques`` on an orientation of a
+    subset of the arc keys give the records, order, count and steps of
+    the label walk on its out-rows, with the arcs searched and read from
+    the bit table; the records are those of a Graph on the same edges."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(listing, "_BIT_TABLE_RATIO", ratio)
+        want = []
+        expected = label_walk(sub.order.tolist(), out_lists(sub), k,
+                              want.append, clique_record)
+        got = []
+        stats = list_kcliques(sub, k, got.append)
+        rows = []
+        scanned = listing.scan_cliques(sub, k, rows.append)
+    assert got == want
+    assert (stats.emitted_count, stats.steps) == expected == scanned
+    assert [clique_record(sub.order[row].tolist())
+            for batch in rows for row in batch] == want
+    rebuilt = []
+    list_kcliques(from_edge_list(list(sub.edges()), sub.n), k,
+                  rebuilt.append)
+    assert sorted(rebuilt) == sorted(want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_graphs())
 def test_orientation_out_degree_is_the_degeneracy(g):
-    out = np.diff(orient(g).indptr)
+    oriented = orient(g)
+    out = np.bincount(oriented.keys // oriented.n)
     assert out.max(initial=0) == degeneracy_ordering(g).degeneracy
 
 
