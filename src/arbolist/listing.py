@@ -25,17 +25,19 @@ positions.  The ordering peels a graph in numpy rounds, through short
 runs of thin frontiers, and hands what is left after a long run, or a
 remainder too small for a round, to the Matula-Beck loop
 (:func:`~arbolist.core.degeneracy_ordering`).  Every k, triangles
-included, is one level-wise numpy scan over the orientation, batched by
-``_BATCH``.  It tests whether a candidate's arcs exist by reading a
-packed n * n bit table of the orientation when that table takes at most
-``_BIT_TABLE_RATIO`` times the 8 * m bytes of the arc keys, so the scan's
-memory stays O(m); on sparser orientations it searches the sorted arc
-keys instead.  Cliques are grouped by their earliest vertex in the
-degeneracy order, and within a group they follow the position of their
-later vertices.  4-cycles are grouped by their first vertex in
-decreasing-degree order; a batch of wedges is grouped by one default
-sort of packed keys, and its pairs are built and canonicalised in
-arrays.
+included, is one level-wise numpy scan over the orientation, in batches
+of ``_SCAN_BATCH`` candidates.  It tests whether a candidate's arcs
+exist by reading a packed n * n bit table of the orientation when that
+table takes at most ``_BIT_TABLE_RATIO`` times the 8 * m bytes of the
+arc keys, so the scan's memory stays O(m); on sparser orientations it
+searches the sorted arc keys instead.  Cliques are grouped by their
+earliest vertex in the degeneracy order, and within a group they follow
+the position of their later vertices.  4-cycles are grouped by their
+first vertex in decreasing-degree order; a batch of ``_SCAN_BATCH``
+wedges is sorted once by its keys, only a batch with a repeated key
+(one that closes a cycle) is grouped by a second sort of packed keys,
+and its pairs are built and canonicalised in arrays.  Records reach a
+sink in batches of about ``_BATCH``.
 """
 
 from __future__ import annotations
@@ -184,9 +186,18 @@ def _oriented(g: Graph | Orientation) -> tuple[Orientation, float, float]:
     return orient(g), t0, perf_counter()
 
 
-# Candidates per batch of the clique scan, wedges and pairs of the
-# 4-cycle scan.
+# Rows per batch of records handed to a sink, and pairs per chunk of the
+# 4-cycle scan (graphio.write_rows writes as many lines in one call).
+# Kept small so that a printing command's first record leaves early.
 _BATCH = 4096
+
+# Candidates per batch of the clique scan, wedges per batch of the
+# 4-cycle scan.  Larger batches spread numpy's per-call cost over more
+# items.  Of 8192, 16384 and 32768, timed on polarity q=47 in process,
+# 16384 was faster than 8192 and as fast as 32768, at half its memory.
+# The 4-cycle scan's packed keys stay below 2 * _SCAN_BATCH**2 * n =
+# 2**60 for n < graphio.ID_LIMIT = 2**31.
+_SCAN_BATCH = 4 * _BATCH
 
 # The clique scan tests arcs in a bit table of the orientation when its
 # n * n bits take at most this many times the 8 * m bytes of the arc
@@ -194,13 +205,13 @@ _BATCH = 4096
 _BIT_TABLE_RATIO = 4
 
 
-def _batches(cum: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Runs [lo, hi) of items holding about ``_BATCH`` candidates each,
+def _batches(cum: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
+    """Runs [lo, hi) of items holding at most ``size`` candidates each,
     where ``cum[i]`` counts the candidates of the items before i; an item
     with more is a run of its own."""
     lo, end = 0, len(cum) - 1
     while lo < end:
-        hi = max(int(cum.searchsorted(cum[lo] + _BATCH, "right")) - 1,
+        hi = max(int(cum.searchsorted(cum[lo] + size, "right")) - 1,
                  lo + 1)
         yield lo, hi
         lo = hi
@@ -268,7 +279,7 @@ def scan_cliques(o: Orientation, k: int,
             return at
         cum = np.concatenate(([0], out[rows[:, -1]].cumsum()))
         steps += int(cum[-1])
-        for lo, hi in _batches(cum):
+        for lo, hi in _batches(cum, _SCAN_BATCH):
             # Candidate i (counted over all rows), on row lo + r with
             # last position pj, is col[ptr[pj] + i - cum[lo + r]].
             last = rows[lo:hi, -1]
@@ -413,16 +424,19 @@ def list_4cycles(g: Graph, sink: Sink, *,
     ``preprocess_time`` is the ordering plus one CSR of the arcs in
     positions, sorted by (source, target), and for every forward arc v->u
     the offset where u's neighbours later than v start.  The scan then
-    takes whole vertices in batches of about ``_BATCH`` wedges, builds
-    their wedges as arrays and groups them by (v, w) with one sort of
-    packed (rank of v, w, wedge index) keys.  Groups are taken in the
-    order of their first wedge, members in scan order, and their pairs
-    in ``combinations`` order are canonicalised in arrays, about
-    ``_BATCH`` at a time, each such array one batch for the sink (rows
-    a, b, c, d with ``batches``).  So it needs O(m + batch) memory
-    beyond the graph, and records, their order and ``steps`` (wedges of
-    every vertex reached, plus the pairs emitted) are those of a
-    vertex-by-vertex dictionary scan.
+    takes whole vertices in batches of at most ``_SCAN_BATCH`` wedges
+    (a vertex with more is a batch of its own), builds their wedges as
+    arrays and sorts their (rank of v, w) keys once.  A batch with no
+    repeated key closes no cycle and ends there; one with a repeat
+    groups its wedges by (v, w) with one sort of packed (rank of v, w,
+    wedge index) keys.  Groups are taken in the order of their first
+    wedge, members in scan order, and their pairs in ``combinations``
+    order are canonicalised in arrays, about ``_BATCH`` at a time, each
+    such array one batch for the sink (rows a, b, c, d with
+    ``batches``).  So it needs O(m + batch) memory beyond the graph, and
+    records, their order and ``steps`` (wedges of every vertex reached,
+    plus the pairs emitted) are those of a vertex-by-vertex dictionary
+    scan.
     """
     t0 = perf_counter()
     n = g.n
@@ -462,7 +476,7 @@ def list_4cycles(g: Graph, sink: Sink, *,
     t1 = perf_counter()
     consume = sink if batches else _per_record(sink, FourCycleRecord._make)
     emitted = 0
-    for lo, hi in _batches(vcum):
+    for lo, hi in _batches(vcum, _SCAN_BATCH):
         # Wedges v-u-w of positions lo..hi-1 in scan order, as arrays.
         nw = int(vcum[hi] - vcum[lo])
         if nw < 2:
@@ -472,15 +486,20 @@ def list_4cycles(g: Graph, sink: Sink, *,
         w = col[np.repeat(skip[a0:a1], fan) + np.arange(vcum[lo], vcum[hi])]
         # v as its rank r among the batch's R vertices with wedges, so
         # the keys r * n + w and their packing stay below 2 * R * n * nw:
-        # 2 * _BATCH**2 * n over several vertices (then nw <= _BATCH),
-        # 2 * nw * n for one.  Both fit in int64 for n < graphio.ID_LIMIT
-        # = 2**31, the second for nw < 2**31 wedges at one vertex.
+        # 2 * _SCAN_BATCH**2 * n over several vertices (then
+        # nw <= _SCAN_BATCH), 2 * nw * n for one.  Both fit in int64 for
+        # n < graphio.ID_LIMIT = 2**31, the second for nw < 2**31 wedges
+        # at one vertex.
         key = np.repeat(base[a0:a1] - base[a0], fan)
         key += w
-        key, by = _stable_sort(key)
-        same = key[1:] == key[:-1]
+        # Most batches close no cycle, and one plain sort of the keys
+        # shows it; only a batch with a repeated key needs the stable
+        # order of its wedges.
+        ordered = np.sort(key)
+        same = ordered[1:] == ordered[:-1]
         if not same.any():
             continue
+        by = _stable_sort(key)[1]
         # Runs of equal keys in sorted order: the groups of two or more.
         same = np.diff(same.astype(np.int8), prepend=0, append=0)
         first = np.flatnonzero(same == 1)
@@ -498,7 +517,7 @@ def list_4cycles(g: Graph, sink: Sink, *,
         # A member's pairs are with the later members of its group.
         later = np.repeat(end, size) - 1 - np.arange(len(members))
         pcum = np.concatenate(([0], np.cumsum(later)))
-        for plo, phi in _batches(pcum):
+        for plo, phi in _batches(pcum, _BATCH):
             i = np.repeat(np.arange(plo, phi), later[plo:phi])
             j = np.arange(pcum[plo], pcum[phi]) - np.repeat(
                 pcum[plo:phi] - np.arange(plo + 1, phi + 1), later[plo:phi])

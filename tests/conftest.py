@@ -5,7 +5,7 @@ from itertools import combinations
 import hypothesis.strategies as st
 import numpy as np
 
-from arbolist import Graph, from_edge_list
+from arbolist import Graph, from_edge_list, listing
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -19,6 +19,16 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in sorted(RESULTS):
         terminalreporter.write_line(line)
+
+
+def use_batch(mp, batch: int) -> None:
+    """Run the listers with batches of ``batch`` items, through the
+    monkeypatch ``mp``: the records handed to a sink, the 4-cycle pair
+    chunks, and the scans' batches of clique candidates and of wedges.
+    ``listing._BATCH`` stands for the default sizes, left as they are."""
+    if batch != listing._BATCH:
+        mp.setattr(listing, "_BATCH", batch)
+        mp.setattr(listing, "_SCAN_BATCH", batch)
 
 
 def complete(n: int) -> Graph:

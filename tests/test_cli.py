@@ -14,8 +14,9 @@ import pytest
 
 import arbolist
 from arbolist import WeightedKPartiteGraph, from_edge_list
+from arbolist import bench
 from arbolist.bench import c4_block_family
-from arbolist.cli import main
+from arbolist.cli import BENCH_SUITES, main
 from arbolist.generators import polarity_graph, random_gnm
 from arbolist.graphio import (read_edge_list, write_edge_list,
                               write_weighted_kpartite)
@@ -611,6 +612,25 @@ def test_bench_suite_writes_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "gen,n,m,alpha_proxy,algo,pre_s,emit_s,count,steps"
     assert len(lines) == 4
+
+
+def test_only_the_bench_command_imports_bench(tmp_path, capsys):
+    """A listing and a solve, run in a fresh interpreter, load no
+    ``arbolist.bench``; the parser declares its suite names itself."""
+    graph, weighted = str(tmp_path / "k4.txt"), str(tmp_path / "zc.txt")
+    Path(graph).write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    assert run(capsys, "gen", "zero-clique", "--k", "3", "--n-part", "4",
+               "--out", weighted)[0] == 0
+    child = _python(
+        "-c", "import sys; from arbolist.cli import main; "
+              f"codes = (main(['list', '--input', {graph!r}, "
+              "'--kind', 'c4']), "
+              f"main(['solve-zero-clique', '--input', {weighted!r}, "
+              "'--k', '3'])); "
+              "print(*codes, 'arbolist.bench' in sys.modules)")
+    assert child.returncode == 0
+    assert child.stdout.decode().splitlines()[-1] == "0 0 False"
+    assert list(BENCH_SUITES) == sorted(bench.SUITES)
 
 
 def test_degeneracy_subcommand(tmp_path, capsys):

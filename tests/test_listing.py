@@ -30,6 +30,7 @@ from arbolist import (
     list_kcliques,
     list_triangles,
     orient,
+    pad_with_c4free,
     polarity_graph,
     random_gnm,
     triangle_record,
@@ -47,6 +48,7 @@ from .conftest import (
     petersen,
     small_graphs,
     star,
+    use_batch,
     wheel,
 )
 
@@ -292,18 +294,22 @@ def assert_4cycles_match_reference(g, stops=True):
 @given(g=small_graphs(max_n=10))
 def test_4cycles_match_the_vertex_by_vertex_lister(batch, g):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(listing, "_BATCH", batch)
+        use_batch(mp, batch)
         assert_4cycles_match_reference(g)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 4096])
 def test_4cycles_match_the_vertex_by_vertex_lister_at_the_edges(
         monkeypatch, batch):
-    monkeypatch.setattr(listing, "_BATCH", batch)
+    use_batch(monkeypatch, batch)
     isolated = from_edge_list([(3, 900), (900, 4000), (4000, 17), (17, 3)],
                               5000)
+    # The C4-free polarity graph's wedges come first in degree order, in
+    # batches with no repeated key, and the five blocks' wedges last, in
+    # a batch with repeats.
+    blocks = pad_with_c4free(c4_block_family(5, 1), 1, 23)
     for g in (from_edge_list([], 0), from_edge_list([], 7), isolated,
-              complete(6), complete_bipartite(3, 4)):
+              complete(6), complete_bipartite(3, 4), blocks):
         assert_4cycles_match_reference(g)
     assert_4cycles_match_reference(random_gnm(60, 400, 3), stops=False)
     assert count_4cycles(isolated) == 1
@@ -326,8 +332,8 @@ def test_4cycles_of_a_vertex_with_more_wedges_than_a_batch(monkeypatch,
     """The hub's wedges overflow a batch, so it is a batch of its own (the
     single-vertex case of the packed-key bound), and its group of 10
     yields more pairs per member than a batch at size 7."""
-    monkeypatch.setattr(listing, "_BATCH", batch)
-    g = spider(batch + 10, 10)
+    use_batch(monkeypatch, batch)
+    g = spider(listing._SCAN_BATCH + 10, 10)
     assert count_4cycles(g) == comb(10, 2)
     assert_4cycles_match_reference(g)
 
@@ -350,7 +356,7 @@ def test_4cycles_with_batches_holding_vertices_without_wedges(monkeypatch,
     """Vertices with no wedges, some with arcs to later vertices (star
     hubs), lie before and between the ones with wedges; graphs with no
     wedge, or one, make batches with nothing to group."""
-    monkeypatch.setattr(listing, "_BATCH", batch)
+    use_batch(monkeypatch, batch)
     g = bipartite_blocks_and_stars()
     assert count_4cycles(g) == 7
     for g in (g, star(5), from_edge_list([(0, 1), (1, 2), (2, 3)], 4)):
@@ -365,7 +371,7 @@ def test_4cycles_with_batches_holding_vertices_without_wedges(monkeypatch,
 ], ids=["c4-blocks-2000", "polarity-23", "gnm-5000-25000"])
 def test_4cycles_match_the_vertex_by_vertex_lister_on_larger_graphs(
         monkeypatch, make, batch):
-    monkeypatch.setattr(listing, "_BATCH", batch)
+    use_batch(monkeypatch, batch)
     assert_4cycles_match_reference(make(), stops=(1, 7, 1000))
 
 
@@ -422,7 +428,7 @@ def test_batch_sinks_see_what_record_sinks_see(monkeypatch, batch, name):
     """Same records, order, emitted_count and steps from the array form
     as from the per-record form, run to the end and stopped at every
     row (on the random graph at a few)."""
-    monkeypatch.setattr(listing, "_BATCH", batch)
+    use_batch(monkeypatch, batch)
     lister = LISTERS[name]
     for g, every in fixed_graphs():
         want = per_record(lister, g)
@@ -463,16 +469,16 @@ def test_no_empty_batch_is_handed_over(name):
 
 def test_packed_wedge_keys_fit_in_int64():
     """A batch's wedge keys r * n + w, packed with the wedge index, stay
-    below 2 * _BATCH**2 * n over several vertices and 2 * nw * n for one
-    vertex's nw wedges; both fit in int64 for every n the reader takes,
-    the second up to 2**31 wedges.  At the largest multi-vertex keys the
-    packed sort still equals numpy's stable sort."""
+    below 2 * _SCAN_BATCH**2 * n over several vertices and 2 * nw * n
+    for one vertex's nw wedges; both fit in int64 for every n the reader
+    takes, the second up to 2**31 wedges.  At the largest multi-vertex
+    keys the packed sort still equals numpy's stable sort."""
     n = ID_LIMIT - 1
-    assert 2 * listing._BATCH ** 2 * n < 2 ** 63
+    batch = listing._SCAN_BATCH
+    assert 2 * batch ** 2 * n < 2 ** 63
     assert 2 * 2 ** 31 * n < 2 ** 63
     rng = np.random.default_rng(5)
-    key = rng.integers(listing._BATCH * n - 40, listing._BATCH * n,
-                       listing._BATCH)
+    key = rng.integers(batch * n - 40, batch * n, batch)
     got, by = listing._stable_sort(key)
     want = np.argsort(key, kind="stable")
     assert (by == want).all() and (got == key[want]).all()
@@ -592,7 +598,7 @@ def test_k3_scan_matches_the_label_walk(lister, batch, ratio, g):
     """Every scan, k = 2 to 5, against the walk at every stop, with the
     arcs searched and read from the bit table."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(listing, "_BATCH", batch)
+        use_batch(mp, batch)
         mp.setattr(listing, "_BIT_TABLE_RATIO", ratio)
         assert_scan_matches_the_walk(g, *SCANS[lister], every_stop=True)
 
@@ -614,7 +620,7 @@ def test_k3_scan_matches_the_label_walk_on_fixed_graphs(monkeypatch, make,
     """Every scan, k = 2 to 5, against the walk on graphs above
     hypothesis's sizes and on edge cases, with the arcs searched and
     read from the bit table."""
-    monkeypatch.setattr(listing, "_BATCH", batch)
+    use_batch(monkeypatch, batch)
     monkeypatch.setattr(listing, "_BIT_TABLE_RATIO", ratio)
     assert_scan_matches_the_walk(make(), *SCANS[lister])
 

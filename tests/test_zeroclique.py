@@ -32,7 +32,7 @@ from arbolist import core, listing, zeroclique
 from arbolist.primes import next_prime_above
 from arbolist.zeroclique import max_weight
 
-from .conftest import label_walk, out_lists
+from .conftest import label_walk, out_lists, use_batch
 
 
 def _triangle_instance(weights=(5, 5, 5), bound=None):
@@ -514,7 +514,7 @@ def test_grouped_scans_match_the_bucket_walk(monkeypatch, k, n_part, bound,
         return listing.scan_cliques(o, k, watched)
 
     monkeypatch.setattr(zeroclique, "scan_cliques", spy)
-    monkeypatch.setattr(listing, "_BATCH", batch)
+    use_batch(monkeypatch, batch)
     wg = random_weighted_kpartite(k, n_part, 0.6, bound, seed,
                                   planted=planted)
     report = solve_zero_kclique(wg, k, s=s, seed=seed)
