@@ -195,7 +195,9 @@ _BATCH = 4096
 # 4-cycle scan.  Larger batches spread numpy's per-call cost over more
 # items.  Of 8192, 16384 and 32768, timed on polarity q=47 in process,
 # 16384 was faster than 8192 and as fast as 32768, at half its memory.
-# The 4-cycle scan's packed keys stay below 2 * _SCAN_BATCH**2 * n =
+# The 4-cycle scan's first batch holds at most _BATCH wedges, so that a
+# printing command's first record does not wait for a whole
+# _SCAN_BATCH.  The 4-cycle scan's packed keys stay below 2 * _SCAN_BATCH**2 * n =
 # 2**60 for n < graphio.ID_LIMIT = 2**31.
 _SCAN_BATCH = 4 * _BATCH
 
@@ -205,16 +207,19 @@ _SCAN_BATCH = 4 * _BATCH
 _BIT_TABLE_RATIO = 4
 
 
-def _batches(cum: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
+def _batches(cum: np.ndarray, size: int,
+             first: int = 0) -> Iterator[tuple[int, int]]:
     """Runs [lo, hi) of items holding at most ``size`` candidates each,
-    where ``cum[i]`` counts the candidates of the items before i; an item
-    with more is a run of its own."""
+    the first run at most ``first`` if given, where ``cum[i]`` counts the
+    candidates of the items before i; an item with more is a run of its
+    own."""
     lo, end = 0, len(cum) - 1
+    step = first or size
     while lo < end:
-        hi = max(int(cum.searchsorted(cum[lo] + size, "right")) - 1,
+        hi = max(int(cum.searchsorted(cum[lo] + step, "right")) - 1,
                  lo + 1)
         yield lo, hi
-        lo = hi
+        lo, step = hi, size
 
 
 def _arc_bits(n: int, keys: np.ndarray) -> np.ndarray | None:
@@ -392,16 +397,16 @@ def all_edge_sparse_triangle(g: Graph) -> dict[tuple[int, int], bool]:
     return answer
 
 
-def _stable_sort(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``key`` sorted, and the permutation that sorts it stably, from one
-    default (unstable, SIMD) sort of key * 2**b + index, b the bits of
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """The permutation that sorts ``key`` stably, from one default
+    (unstable, SIMD) sort of key * 2**b + index, b the bits of
     len(key) - 1.  The packed values are unique and below
     2 * (key.max() + 1) * len(key), which must fit in int64."""
     bits = max(len(key) - 1, 1).bit_length()
     packed = key << bits
     packed |= np.arange(len(key))
     packed.sort()
-    return packed >> bits, packed & ((1 << bits) - 1)
+    return packed & ((1 << bits) - 1)
 
 
 def list_4cycles(g: Graph, sink: Sink, *,
@@ -424,8 +429,9 @@ def list_4cycles(g: Graph, sink: Sink, *,
     ``preprocess_time`` is the ordering plus one CSR of the arcs in
     positions, sorted by (source, target), and for every forward arc v->u
     the offset where u's neighbours later than v start.  The scan then
-    takes whole vertices in batches of at most ``_SCAN_BATCH`` wedges
-    (a vertex with more is a batch of its own), builds their wedges as
+    takes whole vertices in batches of at most ``_SCAN_BATCH`` wedges,
+    the first at most ``_BATCH`` (a vertex with more is a batch of its
+    own), builds their wedges as
     arrays and sorts their (rank of v, w) keys once.  A batch with no
     repeated key closes no cycle and ends there; one with a repeat
     groups its wedges by (v, w) with one sort of packed (rank of v, w,
@@ -460,7 +466,7 @@ def list_4cycles(g: Graph, sink: Sink, *,
     # neighbours later than v start.  The packed keys stay below
     # 2 * n * m, in int64 for n < graphio.ID_LIMIT = 2**31, m <= 2**31.
     start = np.empty(len(src), np.int64)
-    start[_stable_sort(dst)[1]] = np.flatnonzero(~fwd) + 1
+    start[_stable_argsort(dst)] = np.flatnonzero(~fwd) + 1
     del fwd
     count = ends[dst] - start
     acum = np.concatenate(([0], np.cumsum(count)))
@@ -476,7 +482,7 @@ def list_4cycles(g: Graph, sink: Sink, *,
     t1 = perf_counter()
     consume = sink if batches else _per_record(sink, FourCycleRecord._make)
     emitted = 0
-    for lo, hi in _batches(vcum, _SCAN_BATCH):
+    for lo, hi in _batches(vcum, _SCAN_BATCH, _BATCH):
         # Wedges v-u-w of positions lo..hi-1 in scan order, as arrays.
         nw = int(vcum[hi] - vcum[lo])
         if nw < 2:
@@ -499,7 +505,7 @@ def list_4cycles(g: Graph, sink: Sink, *,
         same = ordered[1:] == ordered[:-1]
         if not same.any():
             continue
-        by = _stable_sort(key)[1]
+        by = _stable_argsort(key)
         # Runs of equal keys in sorted order: the groups of two or more.
         same = np.diff(same.astype(np.int8), prepend=0, append=0)
         first = np.flatnonzero(same == 1)

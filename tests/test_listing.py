@@ -363,6 +363,32 @@ def test_4cycles_with_batches_holding_vertices_without_wedges(monkeypatch,
         assert_4cycles_match_reference(g)
 
 
+def test_batches_with_a_smaller_first_run():
+    """Items of 1 to 5 candidates: the first run holds at most ``first``,
+    the later ones at most ``size``, an item with more a run of its
+    own."""
+    cum = np.array([0, 1, 3, 6, 10, 15])
+    assert list(listing._batches(cum, 7)) == [(0, 3), (3, 4), (4, 5)]
+    assert list(listing._batches(cum, 7, 3)) == [(0, 2), (2, 4), (4, 5)]
+    assert list(listing._batches(cum, 4, 1)) == [(0, 1), (1, 2), (2, 3),
+                                                 (3, 4), (4, 5)]
+
+
+@pytest.mark.parametrize("first, size", [(1, 3), (2, 7), (7, 50)])
+def test_4cycles_with_a_first_wedge_batch_smaller_than_the_rest(
+        monkeypatch, first, size):
+    """The 4-cycle scan's first batch holds at most ``_BATCH`` wedges and
+    the later ones ``_SCAN_BATCH``: same records, order, count and
+    steps as the vertex-by-vertex lister."""
+    monkeypatch.setattr(listing, "_BATCH", first)
+    monkeypatch.setattr(listing, "_SCAN_BATCH", size)
+    for g in (complete(6), complete_bipartite(3, 4),
+              bipartite_blocks_and_stars(),
+              pad_with_c4free(c4_block_family(5, 1), 1, 11)):
+        assert_4cycles_match_reference(g)
+    assert_4cycles_match_reference(random_gnm(60, 400, 3), stops=(1, 50))
+
+
 @pytest.mark.parametrize("batch", [7, 4096])
 @pytest.mark.parametrize("make", [
     lambda: c4_block_family(2000, 1),
@@ -479,9 +505,8 @@ def test_packed_wedge_keys_fit_in_int64():
     assert 2 * 2 ** 31 * n < 2 ** 63
     rng = np.random.default_rng(5)
     key = rng.integers(batch * n - 40, batch * n, batch)
-    got, by = listing._stable_sort(key)
-    want = np.argsort(key, kind="stable")
-    assert (by == want).all() and (got == key[want]).all()
+    assert (listing._stable_argsort(key)
+            == np.argsort(key, kind="stable")).all()
 
 
 def test_kcliques_orient_the_graph_once(monkeypatch):
