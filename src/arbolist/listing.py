@@ -19,11 +19,11 @@ two forms:
 The scans build every batch as an array; a per-record sink gets its
 records through one adapter, :func:`_per_record`.
 
-Triangles and k-cliques read one degeneracy orientation
-(:func:`orient`): the ordering, then one sort of the arc keys in
-positions.  The ordering peels a graph in numpy rounds, through short
-runs of thin frontiers, and hands what is left after a long run, or a
-remainder too small for a round, to the Matula-Beck loop
+Every lister reads one degeneracy orientation (:func:`orient`): the
+ordering, then one sort of the arc keys in positions.  The ordering
+peels a graph in numpy rounds, through short runs of thin frontiers,
+and hands what is left after a long run, or a remainder too small for
+a round, to the Matula-Beck loop
 (:func:`~arbolist.core.degeneracy_ordering`).  Every k, triangles
 included, is one level-wise numpy scan over the orientation, in batches
 of ``_SCAN_BATCH`` candidates.  It tests whether a candidate's arcs
@@ -32,12 +32,13 @@ table takes at most ``_BIT_TABLE_RATIO`` times the 8 * m bytes of the
 arc keys, so the scan's memory stays O(m); on sparser orientations it
 searches the sorted arc keys instead.  Cliques are grouped by their
 earliest vertex in the degeneracy order, and within a group they follow
-the position of their later vertices.  4-cycles are grouped by their
-first vertex in decreasing-degree order; a batch of ``_SCAN_BATCH``
-wedges is sorted once by its keys, only a batch with a repeated key
-(one that closes a cycle) is grouped by a second sort of packed keys,
-and its pairs are built and canonicalised in arrays.  Records reach a
-sink in batches of about ``_BATCH``.
+the position of their later vertices.  4-cycles are grouped by the
+vertex opposite their latest one, in the degeneracy order; a batch of
+``_SCAN_BATCH`` connectors (see :func:`list_4cycles`) is sorted once by
+its keys, only a batch with a repeated key (one that closes a cycle) is
+grouped by a second sort of packed keys, and its pairs are built and
+canonicalised in arrays.  Records reach a sink in batches of about
+``_BATCH``.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class EnumerationStats:
     scan (its row offsets included) together with the sink calls.
     ``steps`` counts inner-loop iterations (adjacency entries scanned:
     for cliques the row of every clique reached below k, so for
-    triangles the arcs plus the wedges; plus vertex pairs assembled by
-    the 4-cycle lister); it is the machine-independent work signal the
-    benchmarks normalize against.
+    triangles the arcs plus the wedges; for 4-cycles the connectors,
+    plus the vertex pairs assembled); it is the machine-independent
+    work signal the benchmarks normalize against.
     """
 
     preprocess_time: float = 0.0
@@ -191,14 +192,14 @@ def _oriented(g: Graph | Orientation) -> tuple[Orientation, float, float]:
 # Kept small so that a printing command's first record leaves early.
 _BATCH = 4096
 
-# Candidates per batch of the clique scan, wedges per batch of the
+# Candidates per batch of the clique scan, connectors per batch of the
 # 4-cycle scan.  Larger batches spread numpy's per-call cost over more
 # items.  Of 8192, 16384 and 32768, timed on polarity q=47 in process,
 # 16384 was faster than 8192 and as fast as 32768, at half its memory.
-# The 4-cycle scan's first batch holds at most _BATCH wedges, so that a
-# printing command's first record does not wait for a whole
-# _SCAN_BATCH.  The 4-cycle scan's packed keys stay below 2 * _SCAN_BATCH**2 * n =
-# 2**60 for n < graphio.ID_LIMIT = 2**31.
+# The 4-cycle scan's first batch holds at most _BATCH connectors, so
+# that a printing command's first record does not wait for a whole
+# _SCAN_BATCH.  The 4-cycle scan's packed keys stay below
+# 2 * _SCAN_BATCH**2 * n = 2**60 for n < graphio.ID_LIMIT = 2**31.
 _SCAN_BATCH = 4 * _BATCH
 
 # The clique scan tests arcs in a bit table of the orientation when its
@@ -409,117 +410,114 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
     return packed & ((1 << bits) - 1)
 
 
-def list_4cycles(g: Graph, sink: Sink, *,
+def list_4cycles(g: Graph | Orientation, sink: Sink, *,
                  batches: bool = False) -> EnumerationStats:
-    """List every 4-cycle exactly once; two-hop scans cost O(m * degeneracy).
+    """List every 4-cycle exactly once in O(m * degeneracy) time plus the
+    number of cycles.
 
-    Vertices are processed in order of decreasing degree (ties by id) with
-    logical deletion.  For the current vertex v, a pass over the two-hop
-    neighborhood groups the wedges v-u-w with u and w both later than v
-    by their target w; every unordered pair {u1, u2} within one group is
-    one 4-cycle v-u1-w-u2.
+    A :class:`Graph` is oriented once by :func:`orient`, as for cliques;
+    an :class:`Orientation` is read as it is.  Take a cycle's latest
+    vertex y in the orientation's order, and x the vertex opposite it:
+    both other vertices c1, c2 have an arc to y, so the cycle is
+    x-c1-y-c2 and is found once, from x.  For every x the scan lists
+    its *connectors*, the neighbours c of x with an arc c->y to a y
+    later than x, and every pair of connectors to one y is a cycle.
+    For an in-arc c->x those y are what follows x in c's out-row; for
+    an out-arc x->c, all of c's out-row.  So a vertex is a connector
+    once per pair of its out-neighbours and once per pair of an in- and
+    an out-neighbour: at most 2 * m * degeneracy connectors.
 
-    Each cycle is found once, at whichever of its four vertices comes
-    first in the order.  The degree-descending order is what bounds the
-    two-hop work: every scanned path v-u-w charges the edge (u, w) through
-    an endpoint of no larger degree, and the sum of min-endpoint degrees
-    over edges is at most twice m times the arboricity.  Emission is O(1)
-    amortized per cycle.
-
-    ``preprocess_time`` is the ordering plus one CSR of the arcs in
-    positions, sorted by (source, target), and for every forward arc v->u
-    the offset where u's neighbours later than v start.  The scan then
-    takes whole vertices in batches of at most ``_SCAN_BATCH`` wedges,
-    the first at most ``_BATCH`` (a vertex with more is a batch of its
-    own), builds their wedges as
-    arrays and sorts their (rank of v, w) keys once.  A batch with no
-    repeated key closes no cycle and ends there; one with a repeat
-    groups its wedges by (v, w) with one sort of packed (rank of v, w,
-    wedge index) keys.  Groups are taken in the order of their first
-    wedge, members in scan order, and their pairs in ``combinations``
-    order are canonicalised in arrays, about ``_BATCH`` at a time, each
-    such array one batch for the sink (rows a, b, c, d with
-    ``batches``).  So it needs O(m + batch) memory beyond the graph, and
-    records, their order and ``steps`` (wedges of every vertex reached,
-    plus the pairs emitted) are those of a vertex-by-vertex dictionary
-    scan.
+    ``preprocess_time`` is :func:`orient`'s ordering and one key sort (0
+    when handed an :class:`Orientation`), ``emit_time`` the scan with the
+    sink calls.  The scan counts the out-rows from the keys and orders
+    the arcs with connectors by x with one sort of packed keys.  It
+    takes the vertices x in order, in batches of at most
+    ``_SCAN_BATCH`` connectors, the first at most ``_BATCH`` (a vertex
+    with more is a batch of its own), builds their connectors as arrays
+    and sorts their (rank of x, y) keys once.  A batch with no repeated
+    key closes no cycle and ends there; one with a repeat groups its
+    connectors by (x, y) with one sort of packed (rank of x, y,
+    connector index) keys.  Groups come in key order, by x and then y,
+    members by c, and their pairs in ``combinations`` order are
+    canonicalised in arrays, about ``_BATCH`` at a time, each such array
+    one batch for the sink (rows a, b, c, d with ``batches``).  So it
+    needs O(m + batch) memory beyond the graph, and ``steps`` counts the
+    connectors of every x reached plus the pairs emitted.
     """
-    t0 = perf_counter()
-    n = g.n
-    deg = np.diff(g.indptr)
-    order = np.argsort(-deg, kind="stable")
-    pos = np.empty(n, np.int64)
-    pos[order] = np.arange(n)
-    # Arc keys source * n + target in positions, sorted: one CSR.  Built
-    # in place, and each temporary dropped once used, to bound the peak.
-    keys = pos[np.repeat(np.arange(n), deg)] * n
-    keys += pos[g.indices]
-    keys.sort()
-    ends = np.cumsum(deg[order])
-    del deg, pos
-    col = keys % n
-    fwd = col > keys // n
-    src, dst = keys[fwd] // n, col[fwd]
-    del keys
-    # The m forward arcs in (target, source) order are the backward arcs
-    # in CSR order, reversed; each reverse arc u->v ends where u's
-    # neighbours later than v start.  The packed keys stay below
-    # 2 * n * m, in int64 for n < graphio.ID_LIMIT = 2**31, m <= 2**31.
-    start = np.empty(len(src), np.int64)
-    start[_stable_argsort(dst)] = np.flatnonzero(~fwd) + 1
-    del fwd
-    count = ends[dst] - start
-    acum = np.concatenate(([0], np.cumsum(count)))
-    # Wedge number i, on arc a, has its w at col[skip[a] + i].
-    skip = start - acum[:-1]
-    fptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    vcum = acum[fptr]
-    del ends, start, acum
-    # Per arc, n times the number of vertices with wedges before its
-    # source: a batch's wedges key v by their rank among its own.
-    has = vcum[1:] > vcum[:-1]
-    base = (np.cumsum(has) - has)[src] * n
-    t1 = perf_counter()
+    o, t0, t1 = _oriented(g)
+    n, m, order = o.n, o.m, o.order
+    src, col = np.divmod(o.keys, n)
+    out = np.bincount(src, minlength=n)
+    ptr = np.concatenate(([0], out.cumsum()))
+    # The arcs with connectors, each giving a run of col from a start s
+    # to the end of c's row: an in-arc a = c->x not last in c's row, s =
+    # a + 1; an out-arc x->c to a c with arcs, s = ptr[c].  By (x, s)
+    # they come by x and then c, since an in-arc's s is below ptr[x] and
+    # an out-arc's is not.  Packed as x * 2**b + s, b the bits of m, they
+    # stay below 2 * n * m: in int64 for n, m < 2**31.
+    ia = np.flatnonzero(src[1:] == src[:-1])
+    oa = np.flatnonzero(out[col])
+    xin, xout = col[ia], src[oa]
+    b = m.bit_length()
+    arcs = np.concatenate(((xin << b) | (ia + 1),
+                           (xout << b) | ptr[col[oa]]))
+    arcs.sort()
+    s = arcs & ((1 << b) - 1)
+    # The scan takes the vertices with connectors, xs, by rank: arcs
+    # start[r]:start[r + 1] and connectors vcum[r]:vcum[r + 1] are
+    # xs[r]'s.
+    per = np.bincount(xin, minlength=n) + np.bincount(xout, minlength=n)
+    xs = np.flatnonzero(per)
+    start = np.concatenate(([0], per[xs].cumsum()))
+    del ia, oa, xin, xout, arcs, per
+    fan = ptr[src[s] + 1] - s
+    cum = np.concatenate(([0], fan.cumsum()))
+    # Connector number i, on arc a, is at col[skip[a] + i].
+    skip = s - cum[:-1]
+    vcum = cum[start]
+    del s, cum
     consume = sink if batches else _per_record(sink, FourCycleRecord._make)
     emitted = 0
     for lo, hi in _batches(vcum, _SCAN_BATCH, _BATCH):
-        # Wedges v-u-w of positions lo..hi-1 in scan order, as arrays.
         nw = int(vcum[hi] - vcum[lo])
         if nw < 2:
             continue
-        a0, a1 = fptr[lo], fptr[hi]
-        fan = count[a0:a1]
-        w = col[np.repeat(skip[a0:a1], fan) + np.arange(vcum[lo], vcum[hi])]
-        # v as its rank r among the batch's R vertices with wedges, so
-        # the keys r * n + w and their packing stay below 2 * R * n * nw:
-        # 2 * _SCAN_BATCH**2 * n over several vertices (then
+        # The batch's connectors y = col[at], in scan order.
+        a0, a1 = start[lo], start[hi]
+        at = np.repeat(skip[a0:a1], fan[a0:a1])
+        at += np.arange(vcum[lo], vcum[hi])
+        y = col[at]
+        # Keys r * n + y, r the rank of x in the batch: they and their
+        # packing stay below 2 * R * n * nw for the batch's R vertices,
+        # so 2 * _SCAN_BATCH**2 * n over several vertices (then
         # nw <= _SCAN_BATCH), 2 * nw * n for one.  Both fit in int64 for
-        # n < graphio.ID_LIMIT = 2**31, the second for nw < 2**31 wedges
-        # at one vertex.
-        key = np.repeat(base[a0:a1] - base[a0], fan)
-        key += w
+        # n < graphio.ID_LIMIT = 2**31, the second for nw < 2**31
+        # connectors of one vertex.
+        key = np.repeat(np.arange(0, (hi - lo) * n, n),
+                        np.diff(vcum[lo:hi + 1]))
+        key += y
         # Most batches close no cycle, and one plain sort of the keys
         # shows it; only a batch with a repeated key needs the stable
-        # order of its wedges.
-        ordered = np.sort(key)
+        # order of its connectors.  Keys below 2**31 are sorted as int32,
+        # which numpy sorts about twice as fast.
+        ordered = np.sort(key.astype(np.int32) if (hi - lo) * n <= 2**31
+                          else key)
         same = ordered[1:] == ordered[:-1]
         if not same.any():
             continue
         by = _stable_argsort(key)
-        # Runs of equal keys in sorted order: the groups of two or more.
+        # Runs of equal keys in sorted order: the groups of two or more,
+        # in key order, members in scan order.
         same = np.diff(same.astype(np.int8), prepend=0, append=0)
         first = np.flatnonzero(same == 1)
         size = np.flatnonzero(same == -1) + 1 - first
-        # Groups in the order of their first wedge, members in scan order.
-        head = np.argsort(by[first])
-        first, size = first[head], size[head]
         end = np.cumsum(size)
         members = by[np.repeat(first - end + size, size)
                      + np.arange(int(end[-1]))]
-        # Per member: its ids v, u, w and the position of v.
-        arc = np.repeat(np.arange(a0, a1), fan)[members]
-        pv = src[arc]
-        vid, uid, wid = order[pv], order[dst[arc]], order[w[members]]
+        # Per member: the rank of x and the ids x, c, y.
+        rx = key[members] // n + lo
+        xid, cid = order[xs[rx]], order[src[at[members]]]
+        yid = order[y[members]]
         # A member's pairs are with the later members of its group.
         later = np.repeat(end, size) - 1 - np.arange(len(members))
         pcum = np.concatenate(([0], np.cumsum(later)))
@@ -527,27 +525,27 @@ def list_4cycles(g: Graph, sink: Sink, *,
             i = np.repeat(np.arange(plo, phi), later[plo:phi])
             j = np.arange(pcum[plo], pcum[phi]) - np.repeat(
                 pcum[plo:phi] - np.arange(plo + 1, phi + 1), later[plo:phi])
-            # Cycle v-u1-w-u2: the smallest id comes first, its opposite
+            # Cycle x-c1-y-c2: the smallest id comes first, its opposite
             # third, the smaller of its two neighbours second.
-            x, y = vid[i], wid[i]
-            u1, u2 = uid[i], uid[j]
+            x, y = xid[i], yid[i]
+            c1, c2 = cid[i], cid[j]
             p0, p1 = np.minimum(x, y), np.maximum(x, y)
-            q0, q1 = np.minimum(u1, u2), np.maximum(u1, u2)
-            vfirst = p0 < q0
-            cycles = np.stack((np.where(vfirst, p0, q0),
-                               np.where(vfirst, q0, p0),
-                               np.where(vfirst, p1, q1),
-                               np.where(vfirst, q1, p1)), 1)
-            at = consume(cycles)
-            if at is not None:
-                emitted += at + 1
+            q0, q1 = np.minimum(c1, c2), np.maximum(c1, c2)
+            xfirst = p0 < q0
+            cycles = np.stack((np.where(xfirst, p0, q0),
+                               np.where(xfirst, q0, p0),
+                               np.where(xfirst, p1, q1),
+                               np.where(xfirst, q1, p1)), 1)
+            stop = consume(cycles)
+            if stop is not None:
+                emitted += stop + 1
                 return _finish(t0, t1, emitted,
-                               int(vcum[pv[i[at]] + 1]) + emitted)
+                               int(vcum[rx[i[stop]] + 1]) + emitted)
             emitted += len(i)
-    return _finish(t0, t1, emitted, int(vcum[n]) + emitted)
+    return _finish(t0, t1, emitted, int(vcum[-1]) + emitted)
 
 
-def count_4cycles(g: Graph) -> int:
+def count_4cycles(g: Graph | Orientation) -> int:
     return list_4cycles(g, _ignore, batches=True).emitted_count
 
 

@@ -1,11 +1,12 @@
 """Shared graph builders, hypothesis strategies, acceptance reporting."""
 
+import random
 from itertools import combinations
 
 import hypothesis.strategies as st
 import numpy as np
 
-from arbolist import Graph, from_edge_list, listing
+from arbolist import Graph, from_edge_list, listing, polarity_graph
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -63,6 +64,15 @@ def petersen() -> Graph:
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return from_edge_list(edges, 10)
+
+
+def shuffled_polarity(q: int, seed: int) -> Graph:
+    """``polarity_graph(q)`` with its ids permuted by
+    ``random.Random(seed).shuffle``, as the benchmark's list graphs are."""
+    g = polarity_graph(q)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edge_list(np.array(perm)[g.edge_array()], g.n)
 
 
 def assert_same_graph(got: Graph, want: Graph) -> None:

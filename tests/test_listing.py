@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from itertools import combinations
@@ -46,6 +47,7 @@ from .conftest import (
     label_walk,
     out_lists,
     petersen,
+    shuffled_polarity,
     small_graphs,
     star,
     use_batch,
@@ -241,9 +243,10 @@ def test_stop_at_every_record_yields_a_prefix(g):
 
 
 def reference_4cycles(g, sink):
-    """The vertex-by-vertex 4-cycle lister: degree-descending order,
+    """The degree-order 4-cycle walk: vertices by decreasing degree,
     rank-sorted lists cut with bisect, and a dict of intermediate
-    vertices per target.  Returns (emitted, steps)."""
+    vertices per target.  Its records and count check the lister's on
+    graphs too large for brute force.  Returns (emitted, steps)."""
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     position = [0] * g.n
     for i, v in enumerate(order):
@@ -269,11 +272,45 @@ def reference_4cycles(g, sink):
     return emitted, steps
 
 
+def connector_walk(oriented, sink):
+    """The 4-cycle connector walk over an Orientation's out-rows: for
+    each x in order, each neighbour c of x by position (in-neighbours,
+    then out-neighbours) is a connector of x to every y in c's out-row
+    later than x; then, ys by position, each pair of one y's
+    connectors, in the order found, is the cycle x-c1-y-c2.  Returns
+    (emitted, steps), steps the connectors of every x reached plus the
+    pairs."""
+    order = oriented.order.tolist()
+    out = out_lists(oriented)
+    position = {v: i for i, v in enumerate(order)}
+    into = {v: [] for v in order}
+    for c in order:
+        for y in out[c]:
+            into[y].append(c)
+    steps = emitted = 0
+    for x in order:
+        to = {}
+        for c in into[x] + out[x]:
+            for y in out[c]:
+                if position[y] > position[x]:
+                    steps += 1
+                    to.setdefault(y, []).append(c)
+        for y in sorted(to, key=position.__getitem__):
+            for c1, c2 in combinations(to[y], 2):
+                steps += 1
+                emitted += 1
+                if sink(four_cycle_record(x, c1, y, c2)):
+                    return emitted, steps
+    return emitted, steps
+
+
 def assert_4cycles_match_reference(g, stops=True):
-    """Same records, order, count and steps, run to the end and stopped
-    after record j for every j in ``stops`` (every record when True)."""
+    """Same records, order, count and steps as the connector walk over
+    ``orient(g)``, run to the end and stopped after record j for every j
+    in ``stops`` (every record when True)."""
+    oriented = orient(g)
     want = []
-    want_emitted, want_steps = reference_4cycles(g, want.append)
+    want_emitted, want_steps = connector_walk(oriented, want.append)
     got = []
     stats = list_4cycles(g, got.append)
     assert got == want
@@ -283,8 +320,8 @@ def assert_4cycles_match_reference(g, stops=True):
     for j in stops or ():
         seen, ref = [], []
         stats = list_4cycles(g, lambda r: seen.append(r) or len(seen) == j)
-        expected = reference_4cycles(g, lambda r: ref.append(r)
-                                     or len(ref) == j)
+        expected = connector_walk(oriented, lambda r: ref.append(r)
+                                  or len(ref) == j)
         assert seen == ref == want[:j]
         assert (stats.emitted_count, stats.steps) == expected
 
@@ -292,21 +329,20 @@ def assert_4cycles_match_reference(g, stops=True):
 @pytest.mark.parametrize("batch", [1, 2, 7, 4096])
 @settings(max_examples=40, deadline=None)
 @given(g=small_graphs(max_n=10))
-def test_4cycles_match_the_vertex_by_vertex_lister(batch, g):
+def test_4cycles_match_the_connector_walk(batch, g):
     with pytest.MonkeyPatch.context() as mp:
         use_batch(mp, batch)
         assert_4cycles_match_reference(g)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 4096])
-def test_4cycles_match_the_vertex_by_vertex_lister_at_the_edges(
-        monkeypatch, batch):
+def test_4cycles_match_the_connector_walk_at_the_edges(monkeypatch, batch):
     use_batch(monkeypatch, batch)
     isolated = from_edge_list([(3, 900), (900, 4000), (4000, 17), (17, 3)],
                               5000)
-    # The C4-free polarity graph's wedges come first in degree order, in
-    # batches with no repeated key, and the five blocks' wedges last, in
-    # a batch with repeats.
+    # The five blocks' vertices come first in the degeneracy order, their
+    # connectors in the first batch, which has a repeated key; the
+    # C4-free polarity graph's come after, in batches with none.
     blocks = pad_with_c4free(c4_block_family(5, 1), 1, 23)
     for g in (from_edge_list([], 0), from_edge_list([], 7), isolated,
               complete(6), complete_bipartite(3, 4), blocks):
@@ -316,22 +352,31 @@ def test_4cycles_match_the_vertex_by_vertex_lister_at_the_edges(
 
 
 def spider(legs, shared):
-    """Hub 0 joined to legs 1..legs, leg i also to its own foot legs + i,
-    and legs 1..shared also to vertex 2 * legs + 1.  The hub comes first
-    in degree order with legs + shared wedges, and its group of ``shared``
-    wedges through that vertex gives every 4-cycle."""
+    """Hub 0 joined to legs 1..legs; legs 1..shared also joined to
+    vertex legs + 1, and every other leg to a vertex of its own in
+    copies of the Petersen graph.  The legs come first in the
+    degeneracy order, and on a graph this large the hub then comes
+    before vertex legs + 1: each leg is a connector of the hub, and the
+    ``shared`` ones to vertex legs + 1 give every 4-cycle."""
     edges = [(0, i) for i in range(1, legs + 1)]
-    edges += [(i, legs + i) for i in range(1, legs + 1)]
-    edges += [(i, 2 * legs + 1) for i in range(1, shared + 1)]
-    return from_edge_list(edges, 2 * legs + 2)
+    edges += [(i, legs + 1) for i in range(1, shared + 1)]
+    feet = legs + 2 + np.arange(legs - shared)
+    edges += list(zip(range(shared + 1, legs + 1), feet.tolist()))
+    copies = -(-(legs - shared) // 10)
+    petersen_edges = np.array(list(petersen().edges()))
+    edges += [tuple(e) for k in range(copies)
+              for e in (petersen_edges + legs + 2 + 10 * k).tolist()]
+    return from_edge_list(edges, legs + 2 + 10 * copies)
 
 
 @pytest.mark.parametrize("batch", [7, 4096])
-def test_4cycles_of_a_vertex_with_more_wedges_than_a_batch(monkeypatch,
-                                                           batch):
-    """The hub's wedges overflow a batch, so it is a batch of its own (the
-    single-vertex case of the packed-key bound), and its group of 10
-    yields more pairs per member than a batch at size 7."""
+def test_4cycles_of_a_vertex_with_more_connectors_than_a_batch(monkeypatch,
+                                                               batch):
+    """A vertex's connectors overflow a batch, so it is a batch of its
+    own (the single-vertex case of the packed-key bound): at the default
+    sizes the hub, whose 16394 connectors hold the group of 10; at size
+    7 a vertex with 9.  The group of 10 yields more pairs per member
+    than a batch at size 7."""
     use_batch(monkeypatch, batch)
     g = spider(listing._SCAN_BATCH + 10, 10)
     assert count_4cycles(g) == comb(10, 2)
@@ -339,9 +384,8 @@ def test_4cycles_of_a_vertex_with_more_wedges_than_a_batch(monkeypatch,
 
 
 def bipartite_blocks_and_stars():
-    """Two K_{2,3} with parts {0, 2} and {3, 5}, the star hub 1 between
-    them in the degree order, the star hub 15 before all three, and a
-    C4."""
+    """Two K_{2,3} with parts {0, 2} and {3, 5}, stars with hubs 1 and
+    15, and a C4."""
     edges = [(x, y) for small, big in (((0, 2), (6, 7, 8)),
                                        ((3, 5), (12, 13, 14)))
              for x in small for y in big]
@@ -351,11 +395,11 @@ def bipartite_blocks_and_stars():
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 4096])
-def test_4cycles_with_batches_holding_vertices_without_wedges(monkeypatch,
-                                                              batch):
-    """Vertices with no wedges, some with arcs to later vertices (star
-    hubs), lie before and between the ones with wedges; graphs with no
-    wedge, or one, make batches with nothing to group."""
+def test_4cycles_with_vertices_without_connectors(monkeypatch, batch):
+    """Vertices with no connectors, the star hubs among them, lie before
+    and between the ones with connectors in the degeneracy order; graphs
+    with connectors but no 4-cycle make batches with nothing to
+    group."""
     use_batch(monkeypatch, batch)
     g = bipartite_blocks_and_stars()
     assert count_4cycles(g) == 7
@@ -375,11 +419,11 @@ def test_batches_with_a_smaller_first_run():
 
 
 @pytest.mark.parametrize("first, size", [(1, 3), (2, 7), (7, 50)])
-def test_4cycles_with_a_first_wedge_batch_smaller_than_the_rest(
+def test_4cycles_with_a_first_connector_batch_smaller_than_the_rest(
         monkeypatch, first, size):
-    """The 4-cycle scan's first batch holds at most ``_BATCH`` wedges and
-    the later ones ``_SCAN_BATCH``: same records, order, count and
-    steps as the vertex-by-vertex lister."""
+    """The 4-cycle scan's first batch holds at most ``_BATCH`` connectors
+    and the later ones ``_SCAN_BATCH``: same records, order, count and
+    steps as the connector walk."""
     monkeypatch.setattr(listing, "_BATCH", first)
     monkeypatch.setattr(listing, "_SCAN_BATCH", size)
     for g in (complete(6), complete_bipartite(3, 4),
@@ -389,16 +433,34 @@ def test_4cycles_with_a_first_wedge_batch_smaller_than_the_rest(
     assert_4cycles_match_reference(random_gnm(60, 400, 3), stops=(1, 50))
 
 
+LARGER_GRAPHS = {
+    "c4-blocks-2000": lambda: c4_block_family(2000, 1),
+    "polarity-23": lambda: polarity_graph(23),
+    "gnm-5000-25000": lambda: random_gnm(5000, 25000, 3),
+}
+
+
 @pytest.mark.parametrize("batch", [7, 4096])
-@pytest.mark.parametrize("make", [
-    lambda: c4_block_family(2000, 1),
-    lambda: polarity_graph(23),
-    lambda: random_gnm(5000, 25000, 3),
-], ids=["c4-blocks-2000", "polarity-23", "gnm-5000-25000"])
-def test_4cycles_match_the_vertex_by_vertex_lister_on_larger_graphs(
-        monkeypatch, make, batch):
+@pytest.mark.parametrize("name", LARGER_GRAPHS)
+def test_4cycles_match_the_connector_walk_on_larger_graphs(monkeypatch, name,
+                                                           batch):
     use_batch(monkeypatch, batch)
-    assert_4cycles_match_reference(make(), stops=(1, 7, 1000))
+    assert_4cycles_match_reference(LARGER_GRAPHS[name](), stops=(1, 7, 1000))
+
+
+@pytest.mark.parametrize("make", [
+    *LARGER_GRAPHS.values(), lambda: shuffled_polarity(47, 1),
+], ids=[*LARGER_GRAPHS, "polarity-47-shuffled"])
+def test_4cycles_match_the_degree_order_walk_on_larger_graphs(make):
+    """Above the oracle's size guard: the records and count of the
+    degree-order walk, which orders and groups the cycles otherwise."""
+    g = make()
+    want = []
+    emitted, _ = reference_4cycles(g, want.append)
+    got = []
+    stats = list_4cycles(g, got.append)
+    assert sorted(got) == sorted(want)
+    assert stats.emitted_count == emitted == len(set(got))
 
 
 def fixed_graphs():
@@ -493,14 +555,17 @@ def test_no_empty_batch_is_handed_over(name):
     assert calls == []
 
 
-def test_packed_wedge_keys_fit_in_int64():
-    """A batch's wedge keys r * n + w, packed with the wedge index, stay
-    below 2 * _SCAN_BATCH**2 * n over several vertices and 2 * nw * n
-    for one vertex's nw wedges; both fit in int64 for every n the reader
-    takes, the second up to 2**31 wedges.  At the largest multi-vertex
-    keys the packed sort still equals numpy's stable sort."""
+def test_packed_4cycle_keys_fit_in_int64():
+    """The 4-cycle scan's arcs packed as x * 2**b + s, b the bits of m,
+    stay below 2 * n * m; a batch's keys r * n + y, packed with the
+    connector index, stay below 2 * _SCAN_BATCH**2 * n over several
+    vertices and 2 * nw * n for one vertex's nw connectors.  All fit in
+    int64 for every n the reader takes, and m and nw up to 2**31.  At
+    the largest multi-vertex keys the packed sort still equals numpy's
+    stable sort."""
     n = ID_LIMIT - 1
     batch = listing._SCAN_BATCH
+    assert ((n - 1) << (2 ** 31 - 1).bit_length()) + 2 ** 31 < 2 ** 63
     assert 2 * batch ** 2 * n < 2 ** 63
     assert 2 * 2 ** 31 * n < 2 ** 63
     rng = np.random.default_rng(5)
@@ -509,7 +574,82 @@ def test_packed_wedge_keys_fit_in_int64():
             == np.argsort(key, kind="stable")).all()
 
 
-def test_kcliques_orient_the_graph_once(monkeypatch):
+def test_4cycle_keys_past_int32_are_sorted_as_int64(monkeypatch):
+    """With a million vertex ids a batch's keys r * n + y pass 2**31
+    after the small first batch: those are sorted as int64, the first
+    batch's as int32, and the records are those of the same blocks
+    without the isolated vertices."""
+    blocks = c4_block_family(15000, 1)
+    oriented = orient(from_edge_list(blocks.edge_array(), 10 ** 6))
+    sort, dtypes = np.sort, set()
+
+    def spy(keys):
+        dtypes.add(keys.dtype)
+        return sort(keys)
+
+    monkeypatch.setattr(listing.np, "sort", spy)
+    got = []
+    list_4cycles(oriented, got.append)
+    monkeypatch.undo()
+    assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+    want = []
+    list_4cycles(blocks, want.append)
+    assert len(got) == 15000 and sorted(got) == sorted(want)
+
+
+WORK_GRAPHS = {
+    "k12": lambda: complete(12), "star-200": lambda: star(200),
+    "wheel-20": lambda: wheel(20), "petersen": petersen,
+    "c4-blocks-50": lambda: c4_block_family(50, 1),
+    "polarity-13": lambda: polarity_graph(13),
+}
+
+
+def assert_connectors_within_degeneracy_budget(g):
+    """The 4-cycle scan's connectors, its steps less the pairs emitted,
+    number at most 2 * m * degeneracy: O(m * d + t) work."""
+    stats = list_4cycles(g, listing._ignore, batches=True)
+    d = degeneracy_ordering(g).degeneracy
+    assert stats.steps - stats.emitted_count <= 2 * g.m * d
+
+
+@pytest.mark.parametrize("name", WORK_GRAPHS)
+def test_4cycle_connectors_within_degeneracy_budget(name):
+    assert_connectors_within_degeneracy_budget(WORK_GRAPHS[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_4cycle_connectors_within_degeneracy_budget_on_small_graphs(g):
+    assert_connectors_within_degeneracy_budget(g)
+
+
+def traced_peak(run) -> int:
+    """The peak of the memory traced by ``tracemalloc`` during ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: c4_block_family(15000, 1), lambda: shuffled_polarity(47, 1),
+], ids=["c4-blocks-15000", "polarity-47-shuffled"])
+def test_4cycle_scan_memory_stays_near_the_triangle_scans(make):
+    """On the benchmark's list graphs, the 4-cycle scan's peak of traced
+    memory, orientation included, is at most 1.5 times the triangle
+    scan's: its arrays stay O(m + batch)."""
+    g = make()
+    triangles = traced_peak(
+        lambda: list_triangles(g, listing._ignore, batches=True))
+    cycles = traced_peak(
+        lambda: list_4cycles(g, listing._ignore, batches=True))
+    assert cycles <= 1.5 * triangles
+
+
+def test_listers_orient_the_graph_once(monkeypatch):
     calls = []
 
     def counted(g):
@@ -517,12 +657,14 @@ def test_kcliques_orient_the_graph_once(monkeypatch):
         return degeneracy_ordering(g)
 
     def no_graph(*args, **kwargs):
-        raise AssertionError("list_kcliques built a Graph")
+        raise AssertionError("a lister built a Graph")
 
     monkeypatch.setattr(listing, "degeneracy_ordering", counted)
     monkeypatch.setattr(listing, "Graph", no_graph)
     assert count_kcliques(complete(8), 5) == comb(8, 5)
     assert len(calls) == 1
+    assert count_4cycles(complete(8)) == 3 * comb(8, 4)
+    assert len(calls) == 2
 
 
 def _assert_orient_matches_reference(g):
@@ -768,6 +910,22 @@ def test_scan_of_a_key_subset_matches_the_walk(k, ratio, sub):
 
 
 @settings(max_examples=40, deadline=None)
+@given(sub=key_subsets())
+def test_4cycles_of_a_key_subset_match_the_walk(sub):
+    """``list_4cycles`` on an orientation of a subset of the arc keys
+    gives the records, order, count and steps of the connector walk on
+    its out-rows, and the records of a Graph on the same edges."""
+    want = []
+    expected = connector_walk(sub, want.append)
+    got = []
+    stats = list_4cycles(sub, got.append)
+    assert got == want
+    assert (stats.emitted_count, stats.steps) == expected
+    assert set(got) == brute_4cycles(
+        from_edge_list(list(sub.edges()), sub.n))
+
+
+@settings(max_examples=40, deadline=None)
 @given(small_graphs())
 def test_orientation_out_degree_is_the_degeneracy(g):
     oriented = orient(g)
@@ -780,7 +938,7 @@ def test_listers_walk_an_orientation_as_it_is():
     g = random_gnm(40, 300, 1)
     oriented = orient(g)
     for lister, args in ((list_triangles, ()), (list_kcliques, (3,)),
-                         (list_kcliques, (4,))):
+                         (list_kcliques, (4,)), (list_4cycles, ())):
         from_graph, from_view = [], []
         s1 = lister(g, *args, from_graph.append)
         s2 = lister(oriented, *args, from_view.append)
