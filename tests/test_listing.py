@@ -174,20 +174,27 @@ def test_each_record_emitted_exactly_once(g):
     assert len(seen) == len(set(seen))
 
 
+def assert_steps_within_degeneracy_budget(g):
+    """Inner-loop work stays within 2 * m * degeneracy: the triangle
+    scan's steps (plus n), and the 4-cycle scan's connectors, its steps
+    less the pairs emitted, so that it does O(m * d + t) work."""
+    d = degeneracy_ordering(g).degeneracy
+    _, stats = collect(list_triangles, g)
+    assert stats.steps <= 2 * g.m * max(d, 1) + g.n
+    stats = list_4cycles(g, listing._ignore, batches=True)
+    assert stats.steps - stats.emitted_count <= 2 * g.m * d
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_graphs())
-def test_triangle_steps_within_degeneracy_budget(g):
-    """Inner-loop work stays within 2 * m * degeneracy."""
-    _, stats = collect(list_triangles, g)
-    d = degeneracy_ordering(g).degeneracy
-    assert stats.steps <= 2 * g.m * max(d, 1) + g.n
+def test_steps_within_degeneracy_budget(g):
+    assert_steps_within_degeneracy_budget(g)
 
 
-def test_triangle_steps_budget_on_structured_graphs():
-    for g in (complete(12), star(200), wheel(20), petersen()):
-        _, stats = collect(list_triangles, g)
-        d = degeneracy_ordering(g).degeneracy
-        assert stats.steps <= 2 * g.m * max(d, 1) + g.n
+def test_steps_budget_on_structured_graphs():
+    for g in (complete(12), star(200), wheel(20), petersen(),
+              c4_block_family(50, 1), polarity_graph(13)):
+        assert_steps_within_degeneracy_budget(g)
 
 
 def test_star_4cycle_work_stays_linear():
@@ -595,33 +602,6 @@ def test_4cycle_keys_past_int32_are_sorted_as_int64(monkeypatch):
     want = []
     list_4cycles(blocks, want.append)
     assert len(got) == 15000 and sorted(got) == sorted(want)
-
-
-WORK_GRAPHS = {
-    "k12": lambda: complete(12), "star-200": lambda: star(200),
-    "wheel-20": lambda: wheel(20), "petersen": petersen,
-    "c4-blocks-50": lambda: c4_block_family(50, 1),
-    "polarity-13": lambda: polarity_graph(13),
-}
-
-
-def assert_connectors_within_degeneracy_budget(g):
-    """The 4-cycle scan's connectors, its steps less the pairs emitted,
-    number at most 2 * m * degeneracy: O(m * d + t) work."""
-    stats = list_4cycles(g, listing._ignore, batches=True)
-    d = degeneracy_ordering(g).degeneracy
-    assert stats.steps - stats.emitted_count <= 2 * g.m * d
-
-
-@pytest.mark.parametrize("name", WORK_GRAPHS)
-def test_4cycle_connectors_within_degeneracy_budget(name):
-    assert_connectors_within_degeneracy_budget(WORK_GRAPHS[name]())
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_graphs())
-def test_4cycle_connectors_within_degeneracy_budget_on_small_graphs(g):
-    assert_connectors_within_degeneracy_budget(g)
 
 
 def traced_peak(run) -> int:
