@@ -196,7 +196,8 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
     rounds cost O(m log m) in numpy, plus O(n) per rise of d.
     """
     indptr, indices = g.indptr, g.indices
-    deg = np.diff(indptr)
+    size = np.diff(indptr)
+    deg = size.copy()
     alive = deg > 0
     placed = [np.flatnonzero(~alive)[::-1]]
     left = g.n - len(placed[0])
@@ -214,7 +215,7 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
         alive[frontier] = False
         placed.append(frontier)
         left -= len(frontier)
-        touched = _rows(indptr, indices, frontier)
+        touched = indices[_ranges(indptr[frontier], size[frontier])]
         touched, drop = np.unique(touched[alive[touched]], return_counts=True)
         deg[touched] -= drop
         frontier = touched[deg[touched] <= level]
@@ -229,14 +230,13 @@ def degeneracy_ordering(g: Graph) -> OrderingResult:
     return OrderingResult(order, degeneracy)
 
 
-def _rows(indptr: np.ndarray, indices: np.ndarray,
-          vertices: np.ndarray) -> np.ndarray:
-    """The CSR rows of ``vertices``, concatenated."""
-    starts = indptr[vertices]
-    lengths = indptr[vertices + 1] - starts
-    ends = np.cumsum(lengths)
-    at = np.arange(lengths.sum())
-    return indices[at + np.repeat(starts - ends + lengths, lengths)]
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs starts[i], ..., starts[i] + lengths[i] - 1, concatenated,
+    as int64: with a CSR's row starts and lengths, the positions of the
+    rows' entries."""
+    at = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    at += np.arange(len(at))
+    return at
 
 
 def _residual(indptr: np.ndarray, indices: np.ndarray,
@@ -246,8 +246,9 @@ def _residual(indptr: np.ndarray, indices: np.ndarray,
     n = len(rest)
     new_id = np.full(len(indptr) - 1, -1)
     new_id[rest] = np.arange(n)
-    targets = new_id[_rows(indptr, indices, rest)]
-    sources = np.repeat(np.arange(n), indptr[rest + 1] - indptr[rest])
+    size = indptr[rest + 1] - indptr[rest]
+    targets = new_id[indices[_ranges(indptr[rest], size)]]
+    sources = np.repeat(np.arange(n), size)
     return csr_from_keys((sources * n + targets)[targets >= 0], n)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import ceil, comb
 from typing import Optional
@@ -173,14 +174,22 @@ class ReductionInstance:
     ``matching`` holds the C-to-C' identity matching edges; a 4-cycle of
     the output uses exactly one matching edge iff it encodes a triangle
     of the source graph.  ``copy_to_source`` maps each C' vertex back to
-    the C vertex it copies.
+    the C vertex it copies.  ``source`` is the input graph; its
+    triangle and 4-cycle counts are computed on first read.
     """
 
     graph: Graph
     matching: frozenset
     copy_to_source: dict[int, int]
-    source_triangle_count: int
-    source_4cycle_count: int
+    source: Graph
+
+    @cached_property
+    def source_triangle_count(self) -> int:
+        return count_triangles(self.source)
+
+    @cached_property
+    def source_4cycle_count(self) -> int:
+        return count_4cycles(self.source)
 
     def origin_of(self, cycle: FourCycleRecord) -> str:
         """Classify an output 4-cycle as 'triangle' or '4cycle' provenance."""
@@ -247,8 +256,7 @@ def triangle_to_4cycle_transform(g: Graph) -> ReductionInstance:
         graph=out,
         matching=frozenset(zip(sources, copies)),
         copy_to_source=dict(zip(copies, sources)),
-        source_triangle_count=count_triangles(g),
-        source_4cycle_count=count_4cycles(g),
+        source=g,
     )
 
 

@@ -65,8 +65,18 @@ def _lines(path: PathLike):
     after it, as they are: ``loadtxt`` skips blank lines and splits on
     the whitespace that ``str.split`` does.  Else the header may be on any
     line and the data lines are those that are neither blank nor comments.
+    A non-ASCII byte fails at its line, lines ending as ``read_text``
+    ends them: at "\\r\\n", "\\r" or "\\n".
     """
-    text = Path(path).read_text("ascii")
+    try:
+        text = Path(path).read_text("ascii")
+    except UnicodeDecodeError:
+        raw = Path(path).read_bytes()
+        at = re.search(rb"[\x80-\xff]", raw).start()
+        head = raw[:at]
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(path, lineno,
+                         f"non-ASCII byte {raw[at]:#04x}") from None
     lines = text.split("\n")
     head = 0
     for line in lines:

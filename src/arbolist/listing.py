@@ -49,7 +49,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Graph, degeneracy_ordering
+from .core import Graph, _ranges, degeneracy_ordering
 from .errors import KTooSmallError
 
 
@@ -286,12 +286,9 @@ def scan_cliques(o: Orientation, k: int,
         cum = np.concatenate(([0], out[rows[:, -1]].cumsum()))
         steps += int(cum[-1])
         for lo, hi in _batches(cum, _SCAN_BATCH):
-            # Candidate i (counted over all rows), on row lo + r with
-            # last position pj, is col[ptr[pj] + i - cum[lo + r]].
             last = rows[lo:hi, -1]
             r = np.arange(hi - lo).repeat(out[last])
-            w = col[(ptr[last] - cum[lo:hi]).repeat(out[last])
-                    + np.arange(cum[lo], cum[hi])]
+            w = col[_ranges(ptr[last], out[last])]
             for c in range(j - 1):
                 p = rows[lo:hi, c]
                 want = p[r] * n + w
@@ -471,11 +468,7 @@ def list_4cycles(g: Graph | Orientation, sink: Sink, *,
     start = np.concatenate(([0], per[xs].cumsum()))
     del ia, oa, xin, xout, arcs, per
     fan = ptr[src[s] + 1] - s
-    cum = np.concatenate(([0], fan.cumsum()))
-    # Connector number i, on arc a, is at col[skip[a] + i].
-    skip = s - cum[:-1]
-    vcum = cum[start]
-    del s, cum
+    vcum = np.concatenate(([0], fan.cumsum()))[start]
     consume = sink if batches else _per_record(sink, FourCycleRecord._make)
     emitted = 0
     for lo, hi in _batches(vcum, _SCAN_BATCH, _BATCH):
@@ -484,8 +477,7 @@ def list_4cycles(g: Graph | Orientation, sink: Sink, *,
             continue
         # The batch's connectors y = col[at], in scan order.
         a0, a1 = start[lo], start[hi]
-        at = np.repeat(skip[a0:a1], fan[a0:a1])
-        at += np.arange(vcum[lo], vcum[hi])
+        at = _ranges(s[a0:a1], fan[a0:a1])
         y = col[at]
         # Keys r * n + y, r the rank of x in the batch: they and their
         # packing stay below 2 * R * n * nw for the batch's R vertices,
@@ -512,8 +504,7 @@ def list_4cycles(g: Graph | Orientation, sink: Sink, *,
         first = np.flatnonzero(same == 1)
         size = np.flatnonzero(same == -1) + 1 - first
         end = np.cumsum(size)
-        members = by[np.repeat(first - end + size, size)
-                     + np.arange(int(end[-1]))]
+        members = by[_ranges(first, size)]
         # Per member: the rank of x and the ids x, c, y.
         rx = key[members] // n + lo
         xid, cid = order[xs[rx]], order[src[at[members]]]
@@ -523,8 +514,7 @@ def list_4cycles(g: Graph | Orientation, sink: Sink, *,
         pcum = np.concatenate(([0], np.cumsum(later)))
         for plo, phi in _batches(pcum, _BATCH):
             i = np.repeat(np.arange(plo, phi), later[plo:phi])
-            j = np.arange(pcum[plo], pcum[phi]) - np.repeat(
-                pcum[plo:phi] - np.arange(plo + 1, phi + 1), later[plo:phi])
+            j = _ranges(np.arange(plo + 1, phi + 1), later[plo:phi])
             # Cycle x-c1-y-c2: the smallest id comes first, its opposite
             # third, the smaller of its two neighbours second.
             x, y = xid[i], yid[i]

@@ -348,6 +348,15 @@ def test_faulty_file_exits_2_with_one_error_line(tmp_path):
         f"error: {path}:5: duplicate edge (2, 1)"]
 
 
+def test_non_ascii_byte_exits_2_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes("# n=3\n0 1\n# café\n1 2\n".encode())
+    code, out, err = run(capsys, "list", "--input", str(path),
+                         "--kind", "triangle")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {path}:3: non-ASCII byte 0xc3"]
+
+
 def test_import_and_main_leave_the_gc_as_they_find_it(tmp_path, capsys):
     child = _python("-c", "import gc, arbolist.cli; "
                           "print(gc.isenabled(), gc.get_freeze_count())")

@@ -355,6 +355,24 @@ def test_core_ordering_across_the_matula_beck_threshold(g):
     _assert_core_ordering(g)
 
 
+@given(runs=st.lists(st.tuples(st.one_of(st.integers(0, 50),
+                                         st.integers(2**32 - 3, 2**40)),
+                               st.integers(0, 6)), max_size=12))
+def test_ranges_concatenates_the_runs(runs):
+    starts = np.array([s for s, _ in runs], np.int64)
+    lengths = np.array([n for _, n in runs], np.int64)
+    got = core._ranges(starts, lengths)
+    assert got.dtype == np.int64
+    assert got.tolist() == [s + i for s, n in runs for i in range(n)]
+
+
+def test_ranges_of_no_runs_or_only_empty_runs_is_empty():
+    for lengths in ([], [0, 0, 0]):
+        starts = np.arange(len(lengths), dtype=np.int64) + 2**33
+        got = core._ranges(starts, np.array(lengths, np.int64))
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+
 def test_degeneracy_known_values():
     assert degeneracy_ordering(path(10)).degeneracy == 1
     assert degeneracy_ordering(cycle(10)).degeneracy == 2

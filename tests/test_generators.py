@@ -201,6 +201,23 @@ def test_transform_single_triangle():
     assert validate_kpartite(inst.graph, 4)
 
 
+def test_transform_counts_its_source_only_when_read(monkeypatch):
+    def unwanted(g):
+        raise AssertionError("source counted")
+
+    monkeypatch.setattr(generators, "count_triangles", unwanted)
+    monkeypatch.setattr(generators, "count_4cycles", unwanted)
+    g = from_edge_list([(0, 1), (0, 2), (1, 2)], 3, {0: 0, 1: 1, 2: 2})
+    inst = triangle_to_4cycle_transform(g)
+    assert count_4cycles(inst.graph) == 1
+    with pytest.raises(AssertionError, match="source counted"):
+        inst.source_triangle_count
+    with pytest.raises(AssertionError, match="source counted"):
+        inst.source_4cycle_count
+    monkeypatch.undo()
+    assert (inst.source_triangle_count, inst.source_4cycle_count) == (1, 0)
+
+
 def test_transform_empty_sources():
     g = from_edge_list([(0, 1), (1, 2)], 3, {0: 0, 1: 1, 2: 2})
     inst = triangle_to_4cycle_transform(g)

@@ -191,6 +191,61 @@ def test_ids_beyond_the_limit_fail_at_their_line(tmp_path, text, line, message):
     assert message in str(err.value)
 
 
+_VALID = {read_edge_list: "# n=3\n0 1\n1 2\n",
+          read_weighted_kpartite: "# n=3 k=3\n0 1 4\n1 2 -4\n"}
+
+
+@pytest.mark.parametrize("read, name, text, line, byte", [
+    (read_edge_list, "g.txt", b"# n=3\n0 1\n# caf\xc3\xa9\n1 2\n", 3, "0xc3"),
+    (read_edge_list, "g.txt", b"0 1\r\n\r\n1 2\xa0\r\n", 3, "0xa0"),
+    (read_edge_list, "g.txt", b"0 1\r\xff1 2\n", 2, "0xff"),
+    (read_edge_list, "g.txt", b"\x800 1\n", 1, "0x80"),
+    (read_weighted_kpartite, "g.txt", b"# n=3 k=3\r# w\xe9ight\r0 1 4\r",
+     2, "0xe9"),
+    (read_weighted_kpartite, "g.txt", b"# n=3 k=3\n0 1 4\r1 2 \xe2\x88\x924\n",
+     3, "0xe2"),
+    (read_edge_list, "g.txt.labels", b"0\n1\n# \xff\n2\n", 3, "0xff"),
+    (read_edge_list, "g.txt.labels", b"0\n1\n2\xc2\xa0\n", 3, "0xc2"),
+    (read_weighted_kpartite, "g.txt.labels", b"# part\xe9\r\n0\n1\n2\n",
+     1, "0xe9"),
+    (read_weighted_kpartite, "g.txt.labels", b"0\r\n\r\n1\xff\n2\n",
+     3, "0xff"),
+], ids=["edge-comment", "edge-row-crlf", "edge-row-after-cr", "edge-first",
+        "weighted-comment-cr", "weighted-row", "labels-comment", "labels-row",
+        "weighted-labels-comment", "weighted-labels-row-crlf"])
+def test_a_non_ascii_byte_fails_at_its_line(tmp_path, read, name, text, line,
+                                            byte):
+    main = tmp_path / "g.txt"
+    main.write_text(_VALID[read])
+    (tmp_path / "g.txt.labels").write_text("0\n1\n2\n")
+    bad = tmp_path / name
+    bad.write_bytes(text)
+    with pytest.raises(ParseError) as err:
+        read(main)
+    assert (err.value.lineno, str(err.value)) == (
+        line, f"{bad}:{line}: non-ASCII byte {byte}")
+
+
+@given(lines=st.lists(st.sampled_from(["0 1", "# c", "", "1 2", "x\xe9",
+                                       "# caf\xe9", "\xff"]), min_size=1,
+                      max_size=8),
+       ends=st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=8,
+                     max_size=8))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_non_ascii_byte_fails_at_the_line_read_text_gives(tmp_path, lines,
+                                                            ends):
+    p = _fresh(tmp_path, "g.txt")
+    p.write_bytes("".join(map(str.__add__, lines, ends)).encode("latin-1"))
+    split = p.read_text("latin-1").split("\n")
+    bad = [i for i, line in enumerate(split, 1) if not line.isascii()]
+    if not bad:
+        return
+    with pytest.raises(ParseError) as err:
+        read_edge_list(p)
+    assert err.value.lineno == bad[0]
+
+
 def test_integer_fields_follow_int_syntax(tmp_path):
     p = tmp_path / "syntax.txt"
     p.write_text("+0 007\n1_0 2\n")
