@@ -65,18 +65,18 @@ def _lines(path: PathLike):
     after it, as they are: ``loadtxt`` skips blank lines and splits on
     the whitespace that ``str.split`` does.  Else the header may be on any
     line and the data lines are those that are neither blank nor comments.
-    A non-ASCII byte fails at its line, lines ending as ``read_text``
-    ends them: at "\\r\\n", "\\r" or "\\n".
+    The first non-ASCII byte fails at its line.
     """
     try:
         text = Path(path).read_text("ascii")
     except UnicodeDecodeError:
-        raw = Path(path).read_bytes()
-        at = re.search(rb"[\x80-\xff]", raw).start()
-        head = raw[:at]
-        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        # Latin-1 reads each byte as one character, in the same lines.
+        lines = Path(path).read_text("latin-1").split("\n")
+        lineno = next(i for i, line in enumerate(lines, 1)
+                      if not line.isascii())
+        byte = re.search(r"[^\x00-\x7f]", lines[lineno - 1]).group()
         raise ParseError(path, lineno,
-                         f"non-ASCII byte {raw[at]:#04x}") from None
+                         f"non-ASCII byte {ord(byte):#04x}") from None
     lines = text.split("\n")
     head = 0
     for line in lines:
