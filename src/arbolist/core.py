@@ -99,6 +99,27 @@ def from_edge_list(pairs: Union[Iterable[tuple[int, int]], np.ndarray], n: int,
         raise ValueError(f"n={n} must be nonnegative")
     given = pairs if isinstance(pairs, np.ndarray) else list(pairs)
     e = _id_array(given, n)
+    m = len(e)
+    if m and (e.min() < 0 or e.max() >= n):
+        raise _first_bad(given, e, n)
+    # CSR: both orientations of every edge, sorted by (source, target).  A
+    # self loop or a repeated pair repeats an arc.
+    u, v = e.T
+    arcs = np.empty(2 * m, np.int64)
+    np.multiply(u, n, out=arcs[:m])
+    arcs[:m] += v
+    np.multiply(v, n, out=arcs[m:])
+    arcs[m:] += u
+    arcs.sort()
+    if (arcs[1:] == arcs[:-1]).any():
+        raise _first_bad(given, e, n)
+    return Graph(n, *csr_from_keys(arcs, n), part_label)
+
+
+def _first_bad(given, e: np.ndarray, n: int) -> ArbolistError:
+    """The error of the first pair in input order that a pair-by-pair
+    check rejects; ``e`` is ``given`` as ``_id_array`` returns it, and
+    holds at least one such pair."""
     lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
     bad = (lo < 0) | (hi >= n) | (lo == hi)
     # Duplicates share a canonical key; each bad pair gets its own below 0.
@@ -106,18 +127,18 @@ def from_edge_list(pairs: Union[Iterable[tuple[int, int]], np.ndarray], n: int,
     order = np.argsort(key, kind="stable")
     ranked = key[order]
     bad[order[1:][ranked[1:] == ranked[:-1]]] = True
-    if bad.any():
-        i = int(bad.argmax())
-        raise _pair_error(given[i], n, i)
-    # CSR: both orientations of every edge, sorted by (source, target).
-    arcs = np.sort(np.concatenate((key, hi * n + lo)))
-    return Graph(n, *csr_from_keys(arcs, n), part_label)
+    i = int(bad.argmax())
+    return _pair_error(given[i], n, i)
 
 
 def csr_from_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only CSR of the ascending arc keys source * n + target."""
+    """The read-only CSR of the ascending arc keys source * n + target.
+
+    ``keys`` becomes the CSR's ``indices`` in place, so the caller hands
+    over an array of its own.
+    """
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    indices = keys % n
+    indices = np.remainder(keys, n, out=keys)
     indptr.flags.writeable = indices.flags.writeable = False
     return indptr, indices
 

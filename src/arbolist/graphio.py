@@ -6,18 +6,23 @@ comment "# n=<N> k=<K> w=<W>" pins the vertex count (and, for weighted
 k-partite files, the part count and the weight bound); without it n is
 max vertex id + 1.  Part labels live in a sibling file "<path>.labels"
 with one integer per line, one line per vertex, each read like a vertex
-id.  Fields follow ``int()`` syntax.  numpy's ``loadtxt`` converts the
-data rows; a file it refuses is read line by line with ``int()``, which
-names the first faulty line.  Every fault names its file and line; only
-a missing labels file and a wrong label count, faults of the whole file,
-name line 0.  Writers emit no timestamps, so rerunning a generator
-produces byte-identical files.
+id.  Fields follow ``int()`` syntax.  numpy's ``loadtxt`` parses the
+data rows straight from the file, after its leading block of comment
+and blank lines, into one int64 array.  A file it refuses (a '#' after
+that block, a field only ``int()`` reads, a faulty row) takes the line
+tier: its lines are read into a list and converted one by one with
+``int()``, which names the first faulty line.  A list of lines exists
+only there, and where a fault found after parsing needs its line.
+Every fault names its file and line; only a missing labels file and a
+wrong label count, faults of the whole file, name line 0.  Writers emit
+no timestamps, so rerunning a generator produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
+from itertools import takewhile
 from pathlib import Path
 from typing import Optional, Union
 
@@ -46,26 +51,73 @@ PART_SLACK = 256
 
 def _parse(path: PathLike, weighted: bool):
     """n (from the header, else max id + 1), the header's k and w and
-    its line, then the file's lines and its data rows as ``_rows`` gives
-    them."""
-    lines, top, data = _lines(path)
+    its line, then the data rows' ids as an int64 (rows, 2) array and,
+    for a weighted file, their weights as Python ints.
+
+    A fault is raised in the order of the line tier: a non-ASCII byte,
+    then the header, then the first faulty row.
+    """
+    want = 3 if weighted else 2
+    top, rows = _load(path, want, ID_LIMIT)
+    if rows is None:
+        lines, top = _lines(path)
     n, *header = _header(path, top, weighted)
-    ids, weights = _rows(path, lines, data, 3 if weighted else 2, ID_LIMIT)
+    if rows is None:
+        rows = _walk(path, lines, want, ID_LIMIT)
+    ids = rows[:, :2].astype(np.int64, copy=False)
     if n is None:
         n = int(ids.max()) + 1 if len(ids) else 0
-    return n, header, lines, ids, weights
+    return n, header, ids, rows[:, 2].tolist() if weighted else None
 
 
-def _lines(path: PathLike):
-    """A file's lines, the lines that can hold its header, and the lines
-    that hold its data rows.
+def _is_data(line: str) -> bool:
+    """A line that is neither blank nor a comment."""
+    return line.lstrip()[:1] not in ("", "#")
+
+
+# numpy's reader opens a path with one of these suffixes as a compressed
+# file, so such a file takes the line tier, which reads it as text.
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _load(path: PathLike, want: int, limit: int):
+    """The lines of a file's leading block of comment and blank lines, and
+    its data rows as numpy's reader converts them straight from the file:
+    a 2-D int64 array of ``want`` columns whose first two (one, for a
+    one-field file) hold ids in [0, limit).  (None, None) where the file
+    needs the line tier instead.
+
+    The reader skips the leading block and, as ``str.split`` does, blank
+    lines and whitespace.  With no comment character it refuses any '#'
+    after that block, so its rows are exactly the file's data lines; it
+    also refuses a non-ASCII byte, a field only ``int()`` reads
+    (``1_000``, a weight beyond int64) and a file without data rows, and
+    warns, on numpy 1.23-1.26, on a field it read as a float and cast.
+    """
+    if str(path).endswith(_COMPRESSED):
+        return None, None
+    try:
+        with open(path, encoding="ascii") as fh:
+            top = list(takewhile(lambda line: not _is_data(line), fh))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, np.int64, comments=None,
+                              skiprows=len(top), ndmin=2, encoding="ascii")
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None, None
+    if (rows.shape[1] != want
+            or rows[:, :2].min() < 0 or rows[:, :2].max() >= limit):
+        return None, None
+    return top, rows
+
+
+def _lines(path: PathLike) -> tuple[list[str], list[str]]:
+    """The line tier: a file's lines, and the lines that can hold its
+    header.
 
     Where every '#' lies in the file's leading block of comment and blank
-    lines, the header is in that block and the data lines are all lines
-    after it, as they are: ``loadtxt`` skips blank lines and splits on
-    the whitespace that ``str.split`` does.  Else the header may be on any
-    line and the data lines are those that are neither blank nor comments.
-    The first non-ASCII byte fails at its line.
+    lines, the header is in that block; else it may be on any line.  The
+    first non-ASCII byte fails at its line.
     """
     try:
         text = Path(path).read_text("ascii")
@@ -78,51 +130,22 @@ def _lines(path: PathLike):
         raise ParseError(path, lineno,
                          f"non-ASCII byte {ord(byte):#04x}") from None
     lines = text.split("\n")
-    head = 0
-    for line in lines:
-        line = line.strip()
-        if line and line[0] != "#":
-            break
-        head += 1
+    head = next((i for i, line in enumerate(lines) if _is_data(line)),
+                len(lines))
     if text.find("#", sum(map(len, lines[:head])) + head) < 0:
-        return lines, lines[:head], lines[head:]
-    return lines, lines, [lines[i - 1] for i in _linenos(lines)]
+        return lines, lines[:head]
+    return lines, lines
 
 
 def _linenos(lines: list[str]) -> list[int]:
-    """The numbers, from 1, of the data lines: neither blank nor comments.
-
-    Only a fault needs them, to name the line of a row.
-    """
-    return [i for i, line in enumerate(map(str.strip, lines), 1)
-            if line and line[0] != "#"]
+    """The numbers, from 1, of the data lines: neither blank nor comments."""
+    return [i for i, line in enumerate(lines, 1) if _is_data(line)]
 
 
-def _rows(path: PathLike, lines: list[str], data: list[str], want: int,
-          limit: int):
-    """The data rows of a file: their first two fields (one, for a
-    one-field file) as an int64 array of ids in [0, limit) and, for a
-    three-field file, the third as Python ints.
-
-    numpy's reader converts ``data``, the lines ``_lines`` gives for the
-    rows.  A file it refuses or warns on (no data rows; on numpy
-    1.23-1.26, a field it read as a float and cast), or whose rows it
-    reads with the wrong width or an id out of range, is read again by
-    ``_walk``, which names the first faulty line or, for the forms only
-    ``int()`` reads (``1_000``, weights beyond int64), returns the rows.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(data, np.int64, comments=None, ndmin=2)
-    except (ValueError, Warning):
-        rows = None
-    if (rows is None or rows.shape[1] != want
-            or rows[:, :2].min() < 0 or rows[:, :2].max() >= limit):
-        rows = np.array(_walk(path, lines, want, limit),
-                        object).reshape(-1, want)
-    weights = rows[:, 2].tolist() if want == 3 else None
-    return rows[:, :2].astype(np.int64, copy=False), weights
+def _lineno(path: PathLike, row: int) -> int:
+    """The line of the data row at index ``row``.  Only a fault needs it,
+    so it reads the file's lines again."""
+    return _linenos(_lines(path)[0])[row]
 
 
 def _header(path: PathLike, lines: list[str], weighted: bool):
@@ -149,8 +172,9 @@ def _header(path: PathLike, lines: list[str], weighted: bool):
 
 
 def _walk(path: PathLike, lines: list[str], want: int, limit: int):
-    """The data lines read one at a time with ``int()``: their rows as
-    lists of Python ints, or the ParseError of the first faulty line."""
+    """The data lines read one at a time with ``int()``: their rows as a
+    2-D object array of Python ints, or the ParseError of the first faulty
+    line."""
     noun = "label" if want == 1 else "vertex id"
     rows = []
     for lineno in _linenos(lines):
@@ -171,7 +195,7 @@ def _walk(path: PathLike, lines: list[str], want: int, limit: int):
             raise ParseError(path, lineno, f"{noun} {max(row[:2])} "
                                            f"is not below {shown}")
         rows.append(row)
-    return rows
+    return np.array(rows, object).reshape(-1, want)
 
 
 def read_labels(path: PathLike, below: Optional[int] = None) -> dict[int, int]:
@@ -181,8 +205,9 @@ def read_labels(path: PathLike, below: Optional[int] = None) -> dict[int, int]:
     below ``min(below, 2**31)``.  The first faulty label fails at its line.
     """
     limit = ID_LIMIT if below is None else min(below, ID_LIMIT)
-    lines, _, data = _lines(path)
-    labels, _ = _rows(path, lines, data, 1, limit)
+    _, labels = _load(path, 1, limit)
+    if labels is None:
+        labels = _walk(path, _lines(path)[0], 1, limit)
     return dict(enumerate(labels[:, 0].tolist()))
 
 
@@ -203,19 +228,19 @@ def _sibling_labels(path: PathLike, labels_path: Optional[PathLike], n: int,
 
 def read_edge_list(path: PathLike,
                    labels_path: Optional[PathLike] = None) -> Graph:
-    n, _, lines, ids, _ = _parse(path, weighted=False)
+    n, _, ids, _ = _parse(path, weighted=False)
     labels = _sibling_labels(path, labels_path, n)
-    return _build(path, lines, ids, n, labels)
+    return _build(path, ids, n, labels)
 
 
-def _build(path: PathLike, lines: list[str], ids, n: int,
+def _build(path: PathLike, ids, n: int,
            labels: Optional[dict[int, int]]) -> Graph:
     """``from_edge_list`` on the parsed ids, its errors as ParseError at
     the line of the pair it rejects."""
     try:
         return from_edge_list(ids, n, labels)
     except (DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError) as exc:
-        raise ParseError(path, _linenos(lines)[exc.index], str(exc))
+        raise ParseError(path, _lineno(path, exc.index), str(exc))
 
 
 def read_weighted_kpartite(path: PathLike,
@@ -232,19 +257,19 @@ def read_weighted_kpartite(path: PathLike,
     largest |w|, and a weight too large for the solver on k parts fails
     at its line.
     """
-    n, (header_k, header_w, header_line), lines, ids, row_weights = _parse(
+    n, (header_k, header_w, header_line), ids, row_weights = _parse(
         path, weighted=True)
     below = header_k if header_k is not None else max(n, PART_SLACK)
     labels = _sibling_labels(path, labels_path, n, below)
     if labels is None:
         raise ParseError(path, 0, "weighted k-partite file needs a labels file")
     k = header_k if header_k is not None else 1 + max(labels.values(), default=0)
-    base = _build(path, lines, ids, n, labels)
+    base = _build(path, ids, n, labels)
     part = label_array(base).astype(np.int64)[ids]
     same = part[:, 0] == part[:, 1]
     if same.any():
         i = int(same.argmax())
-        raise ParseError(path, _linenos(lines)[i],
+        raise ParseError(path, _lineno(path, i),
                          f"edge {tuple(ids[i].tolist())} lies within "
                          f"part {part[i, 0]}")
     weights = dict(zip(zip(*np.sort(ids, axis=1).T.tolist()), row_weights))
@@ -256,7 +281,7 @@ def read_weighted_kpartite(path: PathLike,
         raise ParseError(path, header_line, f"w={header_w} {why}")
     if largest > limit:
         i = next(i for i, w in enumerate(row_weights) if abs(w) > limit)
-        raise ParseError(path, _linenos(lines)[i],
+        raise ParseError(path, _lineno(path, i),
                          f"weight {row_weights[i]} is beyond the solver's "
                          f"limit {limit} for k={k}")
     return WeightedKPartiteGraph(base, k, weights,

@@ -22,6 +22,7 @@ from arbolist import (
     validate_kpartite,
 )
 from arbolist.bench import c4_block_family
+from arbolist.graphio import ID_LIMIT, ParseError, _load, read_edge_list
 
 from .conftest import complete, cycle, out_lists, path, small_graphs, star
 
@@ -172,6 +173,66 @@ def test_graph_csr_is_read_only():
     with pytest.raises(ValueError):
         g.indices[0] = 2
     assert g.neighbors(0) == (1,) and g.m == 2
+
+
+def _assert_fresh_read_only_csr(indptr, indices, *inputs):
+    for a in (indptr, indices):
+        assert not a.flags.writeable
+        assert not any(np.shares_memory(a, x) for x in inputs)
+
+
+@pytest.mark.parametrize("pairs", [
+    np.array([[2, 0], [1, 2], [3, 1]]),
+    np.array([[2, 0, 7], [1, 2, 8], [3, 1, 9]])[:, :2],
+    np.array([[2, 0], [1, 2], [3, 1]], dtype=np.int32),
+    np.array([[2, 0], [1, 2], [3, 1]]).T.copy().T,
+], ids=["int64", "column-slice", "int32", "fortran-order"])
+def test_from_edge_list_leaves_its_input_alone(pairs):
+    before = pairs.copy()
+    g = from_edge_list(pairs, 4)
+    assert np.array_equal(pairs, before)
+    _assert_fresh_read_only_csr(g.indptr, g.indices, pairs)
+    assert g.edge_set() == {(0, 2), (1, 2), (1, 3)}
+
+
+def test_residual_leaves_the_csr_it_reads_alone():
+    g = random_gnm(60, 300, 2)
+    indptr, indices = g.indptr.copy(), g.indices.copy()
+    rest = np.arange(0, 60, 3)
+    sub_ptr, sub_idx = core._residual(indptr, indices, rest)
+    assert np.array_equal(indptr, g.indptr)
+    assert np.array_equal(indices, g.indices)
+    _assert_fresh_read_only_csr(sub_ptr, sub_idx, indptr, indices, rest)
+    sub, old = induced_subgraph(g, rest.tolist())
+    assert np.array_equal(sub_ptr, sub.indptr)
+    assert np.array_equal(sub_idx, sub.indices)
+
+
+def test_csr_from_keys_turns_its_keys_into_the_indices():
+    keys = np.array([0 * 3 + 1, 1 * 3 + 0, 1 * 3 + 2, 2 * 3 + 1])
+    indptr, indices = core.csr_from_keys(keys, 3)
+    assert indptr.tolist() == [0, 1, 3, 4]
+    assert indices.tolist() == [1, 0, 2, 1]
+    assert np.shares_memory(indices, keys)
+
+
+def test_a_comment_after_the_data_takes_the_line_tier(tmp_path):
+    """A '#' after the first data row: numpy's reader refuses the file,
+    and the line tier reads the same graph, or names the faulty pair's
+    line counting the comment lines."""
+    p = tmp_path / "g.txt"
+    p.write_text("# n=5\n0 1\n# late\n\n1 2\n2 3\n  # trailing\n")
+    assert _load(p, 2, ID_LIMIT) == (None, None)
+    g = read_edge_list(p)
+    assert (g.n, g.edge_set()) == (5, {(0, 1), (1, 2), (2, 3)})
+    assert np.array_equal(g.indices, from_edge_list(
+        [(0, 1), (1, 2), (2, 3)], 5).indices)
+    p.write_text("# n=5\n0 1\n# late\n\n1 2\n2 1\n")
+    assert _load(p, 2, ID_LIMIT) == (None, None)
+    with pytest.raises(ParseError) as err:
+        read_edge_list(p)
+    assert (err.value.lineno, str(err.value)) == (
+        6, f"{p}:6: duplicate edge (2, 1)")
 
 
 def _tuple_edges(adj):

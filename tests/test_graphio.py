@@ -1,5 +1,6 @@
 import re
 import tempfile
+import tracemalloc
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -16,10 +17,13 @@ from arbolist import (
     WeightedKPartiteGraph,
     from_edge_list,
     pad_with_c4free,
+    polarity_graph,
+    random_gnm,
     random_kpartite,
     random_weighted_kpartite,
 )
 from arbolist import graphio, listing
+from arbolist.bench import c4_block_family
 from arbolist.graphio import (
     ID_LIMIT,
     read_edge_list,
@@ -335,11 +339,10 @@ def _assert_reads_as_line_by_line(p):
         expected[0], f"{p}:{expected[0]}: {expected[1]}")
 
 
-def _takes_the_fast_path(p) -> bool:
-    """Whether ``loadtxt`` gets the lines after the leading comment block
-    as they are, rather than the data lines picked out one by one."""
-    lines, top, data = graphio._lines(p)
-    return top + data == lines and len(top) < len(lines)
+def _takes_the_fast_path(p, want: int = 2) -> bool:
+    """Whether ``loadtxt`` reads the rows straight from the file, rather
+    than the line tier reading the file's lines one by one."""
+    return graphio._load(p, want, ID_LIMIT)[1] is not None
 
 
 @pytest.mark.parametrize("text, fast", [
@@ -350,8 +353,8 @@ def _takes_the_fast_path(p) -> bool:
     ("0 1\n# n=9\n1 2\n", False),
     ("0 1\n1 2\n", True),
     ("\n  # n=7\n\n0 1\n", True),
-    ("1_000 2\n0 1\n", True),
-    (f"0 1\n1 {2 ** 31}\n", True),
+    ("1_000 2\n0 1\n", False),
+    (f"0 1\n1 {2 ** 31}\n", False),
     ("# n=4\n0 1\n\n\n  \n1 2\n\n1 0\n", True),
     ("# n=4\n0 1\n\n\t\n2 2\n", True),
     ("# n=4\n0 1\n\n\n3 4\n", True),
@@ -368,29 +371,67 @@ def test_fast_parse_reads_as_line_by_line(tmp_path, text, fast):
     _assert_reads_as_line_by_line(p)
 
 
+def test_a_plain_file_with_a_compressed_suffix_reads_as_text(tmp_path):
+    """numpy's reader would open it as a compressed file; the line tier
+    reads it as the text it is."""
+    for name in ("g.gz", "g.bz2", "g.xz", "g.lzma"):
+        p = tmp_path / name
+        p.write_text("# n=4\n0 1\n1 2\n")
+        assert not _takes_the_fast_path(p)
+        g = read_edge_list(p)
+        assert (g.n, g.edge_set()) == (4, {(0, 1), (1, 2)})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: c4_block_family(2000, 1),
+    lambda: polarity_graph(23),
+    lambda: random_gnm(5000, 25000, 3),
+], ids=["c4-blocks", "polarity-23", "gnm"])
+def test_read_peak_memory_is_a_few_csr_sizes(tmp_path, make):
+    """Reading a graph holds no Python string per line: its traced peak is
+    at most five times the bytes of the CSR it returns."""
+    p = tmp_path / "g.txt"
+    write_edge_list(p, make())
+    tracemalloc.start()
+    try:
+        g = read_edge_list(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (g.indptr.nbytes + g.indices.nbytes)
+
+
 def test_fast_parse_of_a_weighted_file_with_blank_lines(tmp_path):
     p = tmp_path / "w.txt"
     p.write_text("# gen\n# n=6 k=3\n0 1 5\n\n1 2 -3\r\n  \n"
                  f"2 3 {2 ** 63}\n")
     (tmp_path / "w.txt.labels").write_text("0\n1\n2\n" * 2)
-    assert _takes_the_fast_path(p)
+    # A weight beyond int64 is read by int() on the line tier.
+    assert not _takes_the_fast_path(p, 3)
     wg = read_weighted_kpartite(p)
     assert (wg.base.n, wg.k) == (6, 3)
     assert wg.weights == {(0, 1): 5, (1, 2): -3, (2, 3): 2 ** 63}
+    p.write_text("# gen\n# n=6 k=3\n0 1 5\n\n1 2 -3\r\n  \n"
+                 f"2 3 {2 ** 63 - 1}\n")
+    assert _takes_the_fast_path(p, 3)
+    wg = read_weighted_kpartite(p)
+    assert (wg.base.n, wg.k) == (6, 3)
+    assert wg.weights == {(0, 1): 5, (1, 2): -3, (2, 3): 2 ** 63 - 1}
 
 
-@pytest.mark.parametrize("rows, line, message", [
-    ("0 1 5\n\n\n1 0 5\n", 6, "duplicate edge (1, 0)"),
-    ("0 1 5\n\n\t\n0 3 1\n", 6, "edge (0, 3) lies within part 0"),
+@pytest.mark.parametrize("rows, line, message, fast", [
+    ("0 1 5\n\n\n1 0 5\n", 6, "duplicate edge (1, 0)", True),
+    ("0 1 5\n\n\t\n0 3 1\n", 6, "edge (0, 3) lies within part 0", True),
+    # A weight beyond int64 is read by int() on the line tier.
     (f"0 1 5\n\n\n1 2 {max_weight(3) + 1}\n", 6,
-     f"weight {max_weight(3) + 1} is beyond the solver's limit"),
+     f"weight {max_weight(3) + 1} is beyond the solver's limit", False),
 ])
 def test_fast_parse_names_the_weighted_fault_line(tmp_path, rows, line,
-                                                  message):
+                                                  message, fast):
     p = tmp_path / "w.txt"
     p.write_text("# gen\n# n=6 k=3\n" + rows)
     (tmp_path / "w.txt.labels").write_text("0\n1\n2\n" * 2)
-    assert _takes_the_fast_path(p)
+    assert _takes_the_fast_path(p, 3) == fast
     with pytest.raises(ParseError) as err:
         read_weighted_kpartite(p)
     assert err.value.lineno == line

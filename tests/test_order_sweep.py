@@ -23,3 +23,7 @@ def test_measure_reports_the_ordering_and_each_lister():
                                             batches=True).steps
         assert r[f"{name}_ms"] > 0
     assert r["order_ms"] > 0
+    assert r["read_ms"] > 0
+    # The read's peak holds at least the CSR it returns.
+    csr_mb = (g.indptr.nbytes + g.indices.nbytes) / 2**20
+    assert r["read_peak_mb"] >= csr_mb

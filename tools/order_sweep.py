@@ -5,7 +5,9 @@ Usage, from the repository root:
     PYTHONPATH=src python3 tools/order_sweep.py
 
 Prints one line per graph: n, m, the degeneracy, the best of five
-``degeneracy_ordering`` times, and for ``list_triangles``,
+``read_edge_list`` times of the graph written once to a temporary file
+with the read's ``tracemalloc`` peak, as ``read=<ms>ms/<MB>MB``, the best
+of five ``degeneracy_ordering`` times, and for ``list_triangles``,
 ``list_4cycles`` and ``list_kcliques`` at k=4 the best of five whole
 runs into an array sink (ordering and scan together) with the run's
 steps, as ``<lister>=<ms>ms/<steps>``.  The graphs are
@@ -18,6 +20,9 @@ checkout's ``src`` to measure that checkout on the same graphs.
 from __future__ import annotations
 
 import random
+import tempfile
+import tracemalloc
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -25,6 +30,7 @@ import numpy as np
 from arbolist import (degeneracy_ordering, from_edge_list, list_4cycles,
                       list_kcliques, list_triangles, polarity_graph,
                       random_gnm)
+from arbolist.graphio import read_edge_list, write_edge_list
 
 LISTERS = {
     "triangles": list_triangles,
@@ -44,11 +50,30 @@ def best(run, repeats: int):
     return least, result
 
 
+def measure_read(g, repeats: int) -> tuple[float, float]:
+    """The best time of ``repeats`` reads of ``g`` written to a temporary
+    file, in ms, and the ``tracemalloc`` peak of one read, in MB."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        write_edge_list(path, g)
+        seconds, _ = best(lambda: read_edge_list(path), repeats)
+        tracemalloc.start()
+        try:
+            read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return 1e3 * seconds, peak / 2**20
+
+
 def measure(g, repeats: int = 5) -> dict:
-    """The ordering's best time of ``repeats``, and each lister's best
-    time of ``repeats`` runs with its steps."""
+    """The read's best time of ``repeats`` and its peak, the ordering's
+    best time of ``repeats``, and each lister's best time of ``repeats``
+    runs with its steps."""
+    read_ms, read_peak_mb = measure_read(g, repeats)
     order_s, res = best(lambda: degeneracy_ordering(g), repeats)
     r = {"n": g.n, "m": g.m, "degeneracy": res.degeneracy,
+         "read_ms": read_ms, "read_peak_mb": read_peak_mb,
          "order_ms": 1e3 * order_s}
     for name, lister in LISTERS.items():
         seconds, stats = best(
@@ -76,6 +101,7 @@ def main() -> None:
         listed = " ".join(f"{lister}={r[lister + '_ms']:.1f}ms"
                           f"/{r[lister + '_steps']}" for lister in LISTERS)
         print(f"{name:24} n={r['n']} m={r['m']} d={r['degeneracy']} "
+              f"read={r['read_ms']:.1f}ms/{r['read_peak_mb']:.1f}MB "
               f"order={r['order_ms']:.1f}ms {listed}", flush=True)
 
 
