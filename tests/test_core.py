@@ -12,6 +12,7 @@ from arbolist import (
     SelfLoopError,
     VertexOutOfRangeError,
     MissingLabelsError,
+    ParseError,
     arboricity_bounds,
     degeneracy_ordering,
     from_edge_list,
@@ -22,7 +23,7 @@ from arbolist import (
     validate_kpartite,
 )
 from arbolist.bench import c4_block_family
-from arbolist.graphio import ID_LIMIT, ParseError, _load, read_edge_list
+from arbolist.graphio import ID_LIMIT, _load, read_edge_list
 
 from .conftest import complete, cycle, out_lists, path, small_graphs, star
 
@@ -203,7 +204,7 @@ def test_residual_leaves_the_csr_it_reads_alone():
     assert np.array_equal(indptr, g.indptr)
     assert np.array_equal(indices, g.indices)
     _assert_fresh_read_only_csr(sub_ptr, sub_idx, indptr, indices, rest)
-    sub, old = induced_subgraph(g, rest.tolist())
+    sub, _ = induced_subgraph(g, rest.tolist())
     assert np.array_equal(sub_ptr, sub.indptr)
     assert np.array_equal(sub_idx, sub.indices)
 
