@@ -186,7 +186,7 @@ def suite_zeroclique(n_part: int = 40, s: int = 4, instances: int = 2,
             rows.append(_record(
                 f"zc-bucket n_part={n_part} s={partition.s} seed={seed} "
                 f"key={keytxt}",
-                from_edge_list(bucket.edges(), bucket.n), "clique k=3",
+                from_edge_list(bucket.edge_array(), bucket.n), "clique k=3",
                 stats))
     if len(rows) < min_buckets:
         raise ValueError(

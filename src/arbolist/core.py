@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import ceil
 from numbers import Integral
 from typing import Iterable, Iterator, Optional, Union
@@ -146,10 +147,7 @@ def csr_from_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _id_array(given, n: int) -> np.ndarray:
     """``given`` as an int64 (m, 2) array, ids outside [0, n) clipped to
     -1 or n, so ids beyond int64 stay out of range without overflow."""
-    a = np.asarray(given)
-    if a.dtype.kind == "f" and not isinstance(given, np.ndarray):
-        # Python ints on both sides of the int64 range promote to float.
-        a = np.array(given, dtype=object)
+    a = given if isinstance(given, np.ndarray) else _pairs_array(given)
     if a.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if a.ndim != 2 or a.shape[1] != 2:
@@ -160,6 +158,30 @@ def _id_array(given, n: int) -> np.ndarray:
     if a.dtype.kind != "i":
         a = np.where(a < 0, -1, np.where(a >= n, n, a))
     return a.astype(np.int64, copy=False)
+
+
+def _pairs_array(given: list) -> np.ndarray:
+    """The list ``given`` as numpy converts it.  Where every item is a
+    tuple or list of two scalars, its items convert as one flat list: the
+    same array, made far faster than from a list of pairs."""
+    if set(map(type, given)) <= {tuple, list} and set(map(len, given)) == {2}:
+        try:
+            a = _ids(list(chain.from_iterable(given)))
+            if a.ndim == 1:
+                return a.reshape(-1, 2)
+        except ValueError:  # items holding sequences of unequal lengths
+            pass
+    return _ids(given)
+
+
+def _ids(seq: list) -> np.ndarray:
+    """The list ``seq`` as numpy converts it, as objects where that gives
+    floats."""
+    a = np.asarray(seq)
+    if a.dtype.kind == "f":
+        # Python ints on both sides of the int64 range promote to float.
+        a = np.array(seq, dtype=object)
+    return a
 
 
 def _pair_error(pair, n: int, index: int) -> ArbolistError:

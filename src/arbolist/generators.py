@@ -131,7 +131,8 @@ def color_code(g: Graph, k: int, seed: int) -> Graph:
 
 
 def random_kpartite(k: int, n_part: int, edge_prob: float, seed: int) -> Graph:
-    """Random k-partite graph, parts of equal size in contiguous id blocks."""
+    """Random k-partite graph, parts of equal size in contiguous id blocks,
+    built from the edge array of ``_cross_part_edges``."""
     _check_kpartite(k, n_part, edge_prob)
     edges = _cross_part_edges(random.Random(seed), k, n_part, edge_prob)
     return from_edge_list(edges, k * n_part, _block_labels(k, n_part))
@@ -153,17 +154,19 @@ def _block_labels(k: int, size: int) -> dict[int, int]:
 
 
 def _cross_part_edges(rng: random.Random, k: int, n_part: int,
-                      edge_prob: float) -> list[tuple[int, int]]:
+                      edge_prob: float) -> np.ndarray:
     """Each pair of vertices in different parts (see ``_block_labels``)
-    kept with probability ``edge_prob``.
+    kept with probability ``edge_prob``, as the rows (u, v), u < v, of an
+    (m, 2) int64 array in draw order.
 
     One ``rng.random()`` per pair, part pairs (i, j) in order, then u,
     then v: this draw order defines every seeded k-partite instance.
     """
-    return [(u, v) for i, j in combinations(range(k), 2)
-            for u in range(i * n_part, (i + 1) * n_part)
-            for v in range(j * n_part, (j + 1) * n_part)
-            if rng.random() < edge_prob]
+    parts = np.array(list(combinations(range(k), 2)), np.int64)
+    block = n_part * n_part
+    draws = np.fromiter(iter(rng.random, None), np.float64, len(parts) * block)
+    pair, at = np.divmod(np.flatnonzero(draws < edge_prob), block)
+    return parts[pair] * n_part + np.stack(np.divmod(at, n_part), 1)
 
 
 @dataclass(frozen=True)
@@ -329,28 +332,42 @@ def random_weighted_kpartite(k: int, n_part: int, edge_prob: float,
     while staying within the bound.  Planting guarantees at least one
     zero-weight clique; it says nothing about uniqueness, and unplanted
     instances may contain one by chance.
+
+    The draws come in this order: the edges (``_cross_part_edges``), the
+    planted vertices, part by part, then one weight per edge in sorted
+    (u, v) order, then the planted clique's weights but its last, until
+    their sum is within the bound.  Edges are carried as sorted int64 keys
+    u * n + v and the weights as a list in that order, which is the
+    instance's edge order.
     """
     _check_kpartite(k, n_part, edge_prob)
     if weight_bound < 1:
         raise ValueError(f"weight_bound={weight_bound} must be at least 1")
     rng = random.Random(seed)
-    edges = set(_cross_part_edges(rng, k, n_part, edge_prob))
-    chosen: list[int] = []
+    n = k * n_part
+    cross = _cross_part_edges(rng, k, n_part, edge_prob)
+    keys = cross[:, 0] * n + cross[:, 1]
     if planted:
         chosen = [rng.randrange(i * n_part, (i + 1) * n_part)
                   for i in range(k)]
-        edges.update(combinations(sorted(chosen), 2))
-    order = sorted(edges)
-    weights = {e: rng.randint(-weight_bound, weight_bound) for e in order}
+        # chosen ascends, so the clique's keys come in sorted order.
+        clique = np.array([u * n + v for u, v in combinations(chosen, 2)],
+                          np.int64)
+        keys = np.concatenate((keys, clique))
+    keys.sort()
+    # A clique edge that was also drawn is kept once.
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    weights = [rng.randint(-weight_bound, weight_bound)
+               for _ in range(len(keys))]
     if planted:
-        clique_edges = sorted(combinations(sorted(chosen), 2))
         while True:
             head = [rng.randint(-weight_bound, weight_bound)
-                    for _ in clique_edges[:-1]]
+                    for _ in range(len(clique) - 1)]
             if abs(sum(head)) <= weight_bound:
                 break
-        for e, w in zip(clique_edges, head):
-            weights[e] = w
-        weights[clique_edges[-1]] = -sum(head)
-    base = from_edge_list(order, k * n_part, _block_labels(k, n_part))
+        for i, w in zip(keys.searchsorted(clique).tolist(),
+                        head + [-sum(head)]):
+            weights[i] = w
+    base = from_edge_list(np.stack(np.divmod(keys, n), 1), n,
+                          _block_labels(k, n_part))
     return WeightedKPartiteGraph(base, k, weights, weight_bound)

@@ -52,7 +52,8 @@ PART_SLACK = 256
 def _parse(path: PathLike, weighted: bool):
     """n (from the header, else max id + 1), the header's k and w and
     its line, then the data rows' ids as an int64 (rows, 2) array and,
-    for a weighted file, their weights as Python ints.
+    for a weighted file, their weights as an int64 or, from the line
+    tier, object array.
 
     A fault is raised in the order of the line tier: a non-ASCII byte,
     then the header, then the first faulty row.
@@ -67,7 +68,7 @@ def _parse(path: PathLike, weighted: bool):
     ids = rows[:, :2].astype(np.int64, copy=False)
     if n is None:
         n = int(ids.max()) + 1 if len(ids) else 0
-    return n, header, ids, rows[:, 2].tolist() if weighted else None
+    return n, header, ids, rows[:, 2] if weighted else None
 
 
 def _is_data(line: str) -> bool:
@@ -257,7 +258,7 @@ def read_weighted_kpartite(path: PathLike,
     largest |w|, and a weight too large for the solver on k parts fails
     at its line.
     """
-    n, (header_k, header_w, header_line), ids, row_weights = _parse(
+    n, (header_k, header_w, header_line), ids, column = _parse(
         path, weighted=True)
     below = header_k if header_k is not None else max(n, PART_SLACK)
     labels = _sibling_labels(path, labels_path, n, below)
@@ -272,14 +273,17 @@ def read_weighted_kpartite(path: PathLike,
         raise ParseError(path, _lineno(path, i),
                          f"edge {tuple(ids[i].tolist())} lies within "
                          f"part {part[i, 0]}")
-    weights = dict(zip(zip(*np.sort(ids, axis=1).T.tolist()), row_weights))
-    largest = max(map(abs, row_weights), default=0)
+    # The rows' weights in edge order: the build took each pair once.
+    lo, hi = np.sort(ids, axis=1).T
+    weights = column[(lo * n + hi).argsort()].tolist()
+    largest = max(map(abs, weights), default=0)
     limit = max_weight(k)
     if header_w is not None and not largest <= header_w <= limit:
         why = (f"is below the largest |weight| {largest}" if header_w < largest
                else f"is beyond the solver's limit {limit} for k={k}")
         raise ParseError(path, header_line, f"w={header_w} {why}")
     if largest > limit:
+        row_weights = column.tolist()
         i = next(i for i, w in enumerate(row_weights) if abs(w) > limit)
         raise ParseError(path, _lineno(path, i),
                          f"weight {row_weights[i]} is beyond the solver's "

@@ -155,10 +155,15 @@ class Orientation(NamedTuple):
     def m(self) -> int:
         return len(self.keys)
 
+    def edge_array(self) -> np.ndarray:
+        """Every edge once as a row (u, v), u < v, of an (m, 2) int64
+        array, in arc-key order."""
+        return np.sort(self.order[np.stack(np.divmod(self.keys, self.n), 1)],
+                       1)
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield every edge once as (u, v) with u < v."""
-        ends = np.sort(self.order[np.array(np.divmod(self.keys, self.n))], 0)
-        return zip(*ends.tolist())
+        return zip(*self.edge_array().T.tolist())
 
 
 def orient(g: Graph) -> Orientation:

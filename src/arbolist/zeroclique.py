@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from time import perf_counter
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,38 +46,57 @@ class WeightedKPartiteGraph:
 
     The base graph must carry labels forming a proper k-partition, every
     edge must have a weight, and weights stay within [-weight_bound,
-    weight_bound].  ``weights`` is a dict keyed by (u, v) with u < v.  The
-    solver reads arrays built here once, in ``base.edges()`` order:
-    ``ends``, the (m, 2) int64 edges, and ``w``, their weights (int64
-    while C(k,2) weights sum below 2**63, exact ints above); ``part``
-    holds every vertex's part as int64.
+    weight_bound].  ``weights`` is either a Mapping keyed by (u, v) with
+    u < v, or a sequence of the edges' weights in ``base.edges()``
+    order, into which a Mapping is turned first.  The instance keeps
+    arrays in that order, which the solver reads: ``ends``, the (m, 2)
+    int64 edges, and ``w``, their weights (int64 while C(k,2) weights sum
+    below 2**63, exact ints above); ``part`` holds every vertex's part as
+    int64.  The ``weights`` property is the dict keyed by (u, v) with
+    u < v, built from ``ends`` and ``w`` on first read.
     """
 
-    __slots__ = ("base", "k", "weights", "weight_bound", "ends", "w", "part")
+    __slots__ = ("base", "k", "weight_bound", "ends", "w", "part",
+                 "_weights")
 
-    def __init__(self, base: Graph, k: int, weights: Mapping[Edge, int],
+    def __init__(self, base: Graph, k: int,
+                 weights: Union[Mapping[Edge, int], Sequence[int]],
                  weight_bound: int):
         if not validate_kpartite(base, k):
             raise ValueError("base graph labels are not a proper k-partition")
         if weight_bound < 0:
             raise ValueError("weight_bound must be nonnegative")
-        values = list(map(weights.get, base.edges()))
-        if None in values:
-            raise ValueError(f"{values.count(None)} edges have no weight")
-        if len(weights) > base.m:
-            raise ValueError(f"{len(weights) - base.m} weighted pairs are "
-                             "not edges")
+        ends = base.edge_array()
+        values = weights
+        if isinstance(weights, Mapping):
+            values = list(map(weights.get, zip(*ends.T.tolist())))
+            if None in values:
+                raise ValueError(f"{values.count(None)} edges have no weight")
+            if len(weights) > base.m:
+                raise ValueError(f"{len(weights) - base.m} weighted pairs "
+                                 "are not edges")
+        elif len(values) != base.m:
+            raise ValueError(f"{len(values)} weights for {base.m} edges")
         if max(map(abs, values), default=0) > weight_bound:
-            e, w = next((e, w) for e, w in weights.items()
-                        if abs(w) > weight_bound)
+            # The first weight beyond the bound, in the order given.
+            named = (weights.items() if isinstance(weights, Mapping)
+                     else zip(base.edges(), values))
+            e, w = next((e, w) for e, w in named if abs(w) > weight_bound)
             raise ValueError(f"|w{e}| = {abs(w)} exceeds bound {weight_bound}")
         self.base = base
         self.k = k
-        self.weights = dict(weights)
         self.weight_bound = weight_bound
-        self.ends = base.edge_array()
+        self.ends = ends
         self.w = np.array(values, _dtype(k * (k - 1) // 2 * weight_bound + 1))
         self.part = label_array(base).astype(np.int64)
+        self._weights: Optional[dict[Edge, int]] = None
+
+    @property
+    def weights(self) -> dict[Edge, int]:
+        if self._weights is None:
+            self._weights = dict(zip(zip(*self.ends.T.tolist()),
+                                     self.w.tolist()))
+        return self._weights
 
     def parts(self) -> list[list[int]]:
         return [np.flatnonzero(self.part == j).tolist() for j in range(self.k)]

@@ -642,6 +642,25 @@ def test_only_the_bench_command_imports_bench(tmp_path, capsys):
     assert list(BENCH_SUITES) == sorted(bench.SUITES)
 
 
+def test_generation_listing_and_solve_do_not_import_numpy_ma(tmp_path):
+    """numpy's ``unique`` without ``return_counts`` imports ``numpy.ma``
+    on its first call, about 20 ms; a generation, a listing and a solve,
+    run in a fresh interpreter, never load it."""
+    graph, weighted = str(tmp_path / "k4.txt"), str(tmp_path / "zc.txt")
+    Path(graph).write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    child = _python(
+        "-c", "import sys; from arbolist.cli import main; "
+              "codes = (main(['gen', 'zero-clique', '--k', '3', "
+              f"'--n-part', '6', '--planted', '--out', {weighted!r}]), "
+              f"main(['list', '--input', {graph!r}, '--kind', 'clique', "
+              "'--k', '3']), "
+              f"main(['solve-zero-clique', '--input', {weighted!r}, "
+              "'--k', '3'])); "
+              "print(*codes, 'numpy.ma' in sys.modules)")
+    assert child.returncode == 0
+    assert child.stdout.decode().splitlines()[-1] == "0 0 0 False"
+
+
 def test_degeneracy_subcommand(tmp_path, capsys):
     path = tmp_path / "k5.txt"
     path.write_text("\n".join(f"{i} {j}" for i in range(5)

@@ -75,6 +75,95 @@ def test_from_edge_list_reports_ids_beyond_int64_as_out_of_range():
     assert (err.value.v, err.value.index) == (2 ** 70, 1)
 
 
+def _numpy_message(pairs) -> str:
+    """The message of the ValueError numpy raises converting ``pairs``."""
+    with pytest.raises(ValueError) as err:
+        np.asarray(pairs)
+    return str(err.value)
+
+
+_INTEGERS = (TypeError, "vertex ids must be integers", None)
+
+
+def _shape(shape):
+    return ValueError, f"expected (u, v) pairs, got shape {shape}", None
+
+
+def _out_of_range(v, index):
+    return VertexOutOfRangeError, f"vertex {v} out of range for n=3", index
+
+
+# (input, n, the graph's edges or the error's type, message and index),
+# each as the build gave before lists of pairs converted as flat lists.
+FROM_EDGE_LIST_INPUTS = {
+    "integral floats": (lambda: [(0.0, 1.0), (1.0, 2.0)], 3, _INTEGERS),
+    "float array": (lambda: np.array([[0.0, 1.0]]), 3, _INTEGERS),
+    "strings": (lambda: [("0", "1")], 3, _INTEGERS),
+    "two-char strings": (lambda: ["01", "12"], 3, _shape((2,))),
+    "None": (lambda: [(None, 1)], 3, _INTEGERS),
+    "complex": (lambda: [(1j, 1)], 3, _INTEGERS),
+    "bools": (lambda: [(True, False)], 2, [[0, 1]]),
+    "bool loop": (lambda: [(True, True)], 2,
+                  (SelfLoopError, "self loop at vertex 1", 0)),
+    "numpy ints": (lambda: [(np.int64(0), np.int32(1)),
+                            (np.uint8(1), np.int16(2))], 3, [[0, 1], [1, 2]]),
+    "numpy uint64": (lambda: [(np.uint64(2 ** 63), 1)], 3,
+                     _out_of_range(2 ** 63, 0)),
+    "past int64": (lambda: [(0, 1), (1, 2 ** 70)], 3,
+                   _out_of_range(2 ** 70, 1)),
+    "below int64": (lambda: [(0, 1), (-2 ** 63 - 1, 1)], 3,
+                    _out_of_range(-2 ** 63 - 1, 1)),
+    "uint64 range": (lambda: [(0, 1), (2, 2 ** 64 - 1)], 3,
+                     _out_of_range(2 ** 64 - 1, 1)),
+    "both sides of int64": (lambda: [(0, 1), (-1, 2 ** 64 - 1)], 3,
+                            _out_of_range(-1, 1)),
+    "object array": (lambda: np.array([[0, 2 ** 70]], dtype=object), 3,
+                     _out_of_range(2 ** 70, 0)),
+    "ragged pairs": (lambda: [(0, 1), (1, 2, 3)], 4, "numpy"),
+    "triples": (lambda: [(0, 1, 2), (1, 2, 3)], 4, _shape((2, 3))),
+    "singles": (lambda: [(0,), (1,)], 4, _shape((2, 1))),
+    "scalars": (lambda: [0, 1], 4, _shape((2,))),
+    "pairs of lists": (lambda: [([0], [1])], 4, _shape((1, 2, 1))),
+    "pairs of ragged lists": (lambda: [([0], [1, 2])], 4, "numpy"),
+    "a set of pairs": (lambda: {(0, 1), (1, 2)}, 3, [[0, 1], [1, 2]]),
+    "a pair as a set": (lambda: [{0, 1}], 3, _shape((1,))),
+    "a pair as a dict": (lambda: [{0: 1, 1: 2}], 3, _shape((1,))),
+    "a pair as a range": (lambda: [range(2)], 3, [[0, 1]]),
+    "lists": (lambda: [[0, 1], [1, 2]], 3, [[0, 1], [1, 2]]),
+    "lists and tuples": (lambda: [[0, 1], (1, 2), (1, 0)], 3,
+                         (DuplicateEdgeError, "duplicate edge (1, 0)", 2)),
+    "array rows": (lambda: [np.array([0, 1]), np.array([1, 0])], 3,
+                   (DuplicateEdgeError, "duplicate edge (1, 0)", 1)),
+    "generator": (lambda: ((u, u + 1) for u in range(3)), 4,
+                  [[0, 1], [1, 2], [2, 3]]),
+    "generator of repeats": (lambda: ((0, 1) for _ in range(3)), 4,
+                             (DuplicateEdgeError, "duplicate edge (0, 1)", 1)),
+    "late duplicate": (lambda: [(0, 1), (1, 2), (2, 0), (2, 1)], 3,
+                       (DuplicateEdgeError, "duplicate edge (2, 1)", 3)),
+    "late loop": (lambda: [(0, 1), (2, 2)], 3,
+                  (SelfLoopError, "self loop at vertex 2", 1)),
+    "empty list": (lambda: [], 3, []),
+    "an empty pair": (lambda: [()], 3, []),
+    "empty array": (lambda: np.empty((0, 2)), 3, []),
+}
+
+
+@pytest.mark.parametrize("name", FROM_EDGE_LIST_INPUTS)
+def test_from_edge_list_input_matrix(name):
+    make, n, expected = FROM_EDGE_LIST_INPUTS[name]
+    if isinstance(expected, list):
+        assert from_edge_list(make(), n).edge_array().tolist() == expected
+        return
+    if expected == "numpy":
+        expected = ValueError, _numpy_message(make()), None
+    kind, message, index = expected
+    with pytest.raises(Exception) as err:
+        from_edge_list(make(), n)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert getattr(err.value, "index", None) == index
+
+
 def _pair_by_pair(pairs, n):
     """The pair-by-pair build ``from_edge_list`` replaced: (adjacency,
     None) for good input, else (None, (error, position of its pair))."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from bisect import bisect_right
@@ -33,6 +34,7 @@ from arbolist import (
 )
 
 from arbolist import generators
+from arbolist.core import label_array
 from arbolist.primes import is_prime
 
 from .conftest import assert_same_graph, complete
@@ -430,6 +432,81 @@ def test_kpartite_generators_reject_the_same_bad_shapes(k, n_part, edge_prob):
     with pytest.raises(ValueError) as weighted:
         random_weighted_kpartite(k, n_part, edge_prob, 9, 0)
     assert str(plain.value) == str(weighted.value)
+
+
+def _instance_digest(g, weights=None) -> str:
+    """sha256 of a graph's n, edges (in order), labels and, when given,
+    the weights in edge order, written as text."""
+    text = f"{g.n} {g.edge_array().tolist()} {label_array(g).tolist()}"
+    if weights is not None:
+        text += f" {list(weights)}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of seeded instances taken before the generators drew into
+# arrays: every draw, and the order of the draws, must stay as it was.
+KPARTITE_DIGESTS = {
+    (3, 20, 0.3, 0): "9580572621c021865a70cfaabd33f289"
+                     "9d08880c7b62aa3414b2ec14498c9883",
+    (4, 10, 0.5, 1): "e3cbf2dd2f2b3d8d3d9f753ab25ca042"
+                     "408d49440fb63ae0af56afb97bc60e5f",
+    (5, 6, 0.4, 2): "d8f80ab269bac10e57851dd810951e69"
+                    "616f6012147db79caefed068a4e58793",
+    (3, 5, 0.0, 3): "be5bd2b7db2a198c23e96817b19b3f49"
+                    "731fa2ad79f75f3654d982cb32d8c88a",
+    (4, 4, 1.0, 4): "aff55a9875a091f59e2c27212d65297b"
+                    "1e9c5ff59b05077e5f56f588cc293d5a",
+    (3, 1, 0.5, 5): "a24a9fedcfb45fd1c94203ba302096a9"
+                    "aff3037515e59f455ce8ed931f299967",
+    (5, 1, 1.0, 6): "2201723b8612c5b439cb77b8ff22d648"
+                    "b6cf29cef3c2245d5b611ee9bf9b05bf",
+    (2, 7, 0.5, 7): "da03d706b57729ce0ac005c8f0e35a42"
+                    "824601eb9b3f452cb318dc8d513a00e4",
+}
+
+WEIGHTED_DIGESTS = {
+    (3, 20, 0.3, 1000, 0, False): "130123885a0f9204d032ed8a2b2c7273"
+                                  "2097e4e38a6bd944ad95154357b9f68c",
+    (3, 20, 0.3, 1000, 0, True): "8f1b46cb8637c1d76ee5557418653bf3"
+                                 "6a86287757bc1dc885873837ceac6477",
+    (4, 8, 0.5, 10 ** 6, 1, False): "bfb8a7dbfd5f2a17f8aef68ab387cffc"
+                                    "accabed6fac7d80756f35c8e2e612137",
+    (4, 8, 0.5, 10 ** 6, 1, True): "f12019dc47957230d8319287248b5b22"
+                                   "66c65230b4ebd2f105b4001a9dc6d69b",
+    (5, 5, 0.5, 50, 2, False): "8c0a88305a228685303b725f0d114ecb"
+                               "68a9caea551f3e94b98efae884ac6752",
+    (5, 5, 0.5, 50, 2, True): "aa5e5ee73692318e9685ef043f698372"
+                              "d6831affece71a92e03caec1000534ec",
+    (3, 6, 0.0, 10, 3, False): "d85d887e1977c8cfb72f7ab118c8b621"
+                               "0281fd6cdcab238cf6315262e94fdb91",
+    (3, 6, 0.0, 10, 3, True): "c7bcafd83033d67ad98795166892aa32"
+                              "aa7ab2f70b948d6d241459332b25324f",
+    (4, 5, 1.0, 7, 4, False): "28d7651b97ddb3b24146bbc09660e4b4"
+                              "f4263018ba89db76b359832da636ed7e",
+    (4, 5, 1.0, 7, 4, True): "1e0719072064a4b286b51bd03ff81010"
+                             "f63be872e9a955a49e03371dcab0e38f",
+    (3, 1, 0.5, 5, 5, True): "e454f61237fa62d777ca0758df3fa856"
+                             "fd156050e49ac97159c263c76f6ff3f3",
+    (5, 1, 1.0, 10 ** 20, 6, True): "6c07f48d257b66b2e26cfcf0d33f2ea4"
+                                    "bf1cd8863ba2c05d5efdee27cb04fbe2",
+    (3, 12, 0.4, 10 ** 20, 8, False): "636dc4fbc91c0e565ff2c43fb5503061"
+                                      "80ff02b40ec2c605f3bea03a2c1aa2f4",
+}
+
+
+@pytest.mark.parametrize("args", KPARTITE_DIGESTS)
+def test_random_kpartite_instances_are_pinned(args):
+    assert _instance_digest(random_kpartite(*args)) == KPARTITE_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", WEIGHTED_DIGESTS)
+def test_random_weighted_kpartite_instances_are_pinned(args):
+    wg = random_weighted_kpartite(*args)
+    assert (_instance_digest(wg.base, wg.w.tolist())
+            == WEIGHTED_DIGESTS[args])
+    assert wg.weights == dict(zip(wg.base.edges(), wg.w.tolist()))
+    # Weights past int64 stay exact ints.
+    assert all(type(w) is int for w in wg.weights.values())
 
 
 def test_random_weighted_kpartite_planting():

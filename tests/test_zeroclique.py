@@ -106,6 +106,43 @@ def test_weighted_instance_rejects_bad_weights():
         assert str(err.value) == message
 
 
+def test_weighted_instance_rejects_a_bad_weight_list():
+    base = from_edge_list([(0, 1), (0, 2), (1, 2)], 3, {0: 0, 1: 1, 2: 2})
+    cases = [
+        ([1, 2], 3, "2 weights for 3 edges"),
+        ([1, 2, 3, 4], 3, "4 weights for 3 edges"),
+        # the first weight beyond the bound in edge order
+        ([3, -7, 9], 5, "|w(0, 2)| = 7 exceeds bound 5"),
+    ]
+    for weights, bound, message in cases:
+        with pytest.raises(ValueError) as err:
+            WeightedKPartiteGraph(base, 3, weights, bound)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bound", [50, 2 ** 62, 10 ** 20])
+def test_a_mapping_and_an_edge_ordered_list_make_the_same_instance(bound):
+    """Weights past int64 (bound 10**20) stay exact ints throughout."""
+    wg = random_weighted_kpartite(4, 6, 0.5, bound, seed=2, planted=True)
+    edges = list(wg.base.edges())
+    weights = wg.w.tolist()
+    # A Mapping in an order other than the edges'.
+    mapping = dict(reversed(list(zip(edges, weights))))
+    a = WeightedKPartiteGraph(wg.base, 4, mapping, bound)
+    b = WeightedKPartiteGraph(wg.base, 4, weights, bound)
+    for x in (a, b):
+        assert np.array_equal(x.ends, wg.ends)
+        assert x.w.dtype == wg.w.dtype
+        assert x.w.tolist() == weights
+        assert np.array_equal(x.part, wg.part)
+        assert x.weights == mapping
+        assert all(type(w) is int for w in x.weights.values())
+        assert x.weights is x.weights
+        assert [x.weight(v, u) for u, v in edges] == weights
+    if bound > 2 ** 63:
+        assert max(map(abs, weights)) >= 2 ** 63
+
+
 @pytest.mark.parametrize("bound", [10 ** 6, 10 ** 12, 2 * 10 ** 18,
                                    4 * 10 ** 18])
 def test_hash_edges_is_the_per_edge_formula(bound):

@@ -13,7 +13,11 @@ runs into an array sink (ordering and scan together) with the run's
 steps, as ``<lister>=<ms>ms/<steps>``.  The graphs are
 ``random_gnm(n, 5n, 1)`` at n = 2e4, 5e4, 1e5 and 2e5, a path on 1e5
 vertices, and ``polarity_graph(47)`` with its ids shuffled as the
-benchmark's seed 1 shuffles them.  Point PYTHONPATH at another
+benchmark's seed 1 shuffles them.  A last line gives the best of three
+in-process times of ``random_kpartite(3, 600, 0.3, 0)``, of
+``random_weighted_kpartite(3, 300, 0.3, 10**6, 0)`` and of
+``read_weighted_kpartite`` on that instance written once to a
+temporary file, with each instance's m.  Point PYTHONPATH at another
 checkout's ``src`` to measure that checkout on the same graphs.
 """
 
@@ -29,8 +33,9 @@ import numpy as np
 
 from arbolist import (degeneracy_ordering, from_edge_list, list_4cycles,
                       list_kcliques, list_triangles, polarity_graph,
-                      random_gnm)
-from arbolist.graphio import read_edge_list, write_edge_list
+                      random_gnm, random_kpartite, random_weighted_kpartite)
+from arbolist.graphio import (read_edge_list, read_weighted_kpartite,
+                              write_edge_list, write_weighted_kpartite)
 
 LISTERS = {
     "triangles": list_triangles,
@@ -82,6 +87,23 @@ def measure(g, repeats: int = 5) -> dict:
     return r
 
 
+def measure_generation(kpartite: tuple, weighted: tuple,
+                       repeats: int = 3) -> dict:
+    """The best of ``repeats`` times, in ms, of
+    ``random_kpartite(*kpartite)``, of ``random_weighted_kpartite(*weighted)``
+    and of reading that weighted instance back from a temporary file,
+    with each instance's m."""
+    kp_s, g = best(lambda: random_kpartite(*kpartite), repeats)
+    wkp_s, wg = best(lambda: random_weighted_kpartite(*weighted), repeats)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.txt"
+        write_weighted_kpartite(path, wg)
+        read_s, _ = best(lambda: read_weighted_kpartite(path), repeats)
+    return {"kpartite_m": g.m, "kpartite_ms": 1e3 * kp_s,
+            "weighted_m": wg.base.m, "weighted_ms": 1e3 * wkp_s,
+            "read_weighted_ms": 1e3 * read_s}
+
+
 def shuffled_polarity(q: int, seed: int):
     g = polarity_graph(q)
     perm = list(range(g.n))
@@ -103,6 +125,12 @@ def main() -> None:
         print(f"{name:24} n={r['n']} m={r['m']} d={r['degeneracy']} "
               f"read={r['read_ms']:.1f}ms/{r['read_peak_mb']:.1f}MB "
               f"order={r['order_ms']:.1f}ms {listed}", flush=True)
+    r = measure_generation((3, 600, 0.3, 0), (3, 300, 0.3, 10**6, 0))
+    print(f"random_kpartite(3, 600, 0.3, 0) m={r['kpartite_m']} "
+          f"{r['kpartite_ms']:.1f}ms "
+          f"random_weighted_kpartite(3, 300, 0.3, 10**6, 0) "
+          f"m={r['weighted_m']} {r['weighted_ms']:.1f}ms "
+          f"read={r['read_weighted_ms']:.1f}ms", flush=True)
 
 
 if __name__ == "__main__":
