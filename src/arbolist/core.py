@@ -39,7 +39,7 @@ class Graph:
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  part_label: Optional[dict[int, int]] = None):
         # Trusted constructor: the CSR must already be sorted, symmetric,
-        # loop-free and read-only; everyone else goes through from_edge_list().
+        # loop-free and read-only; unchecked edges go through from_edge_list().
         self.n = n
         self.m = len(indices) // 2
         self.indptr, self.indices = indptr, indices

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Graph, from_edge_list, label_array, validate_kpartite
+from .core import (Graph, csr_from_keys, from_edge_list, label_array,
+                   validate_kpartite)
 from .errors import (
     BadSigmaError,
     MissingLabelsError,
@@ -59,7 +60,8 @@ def polarity_graph(q: int) -> Graph:
     about n^(3/2).  Self-orthogonal points keep degree q, the rest q+1.
 
     Each point's neighbours are the q+1 points of its polar line, solved
-    for directly, so time and memory are O(m).  Points are canonical
+    for directly in ascending id, so the lines are the CSR's rows and
+    time and memory are O(m).  Points are canonical
     (first nonzero coordinate 1), with ids (1, a, b) -> a*q + b,
     (0, 1, b) -> q^2 + b and (0, 0, 1) -> q^2 + q.
     """
@@ -82,9 +84,10 @@ def polarity_graph(q: int) -> Graph:
     a = (-c0[w] * inv[c1[w]]) % q
     line[w, :q] = np.where(c1[w] != 0, a * q, q * q)[:, None] + t
     line[w, q] = q * q + q
-    # Each edge once, from its smaller end; self-orthogonal points drop out.
-    keep = np.arange(n)[:, None] < line
-    return from_edge_list(np.column_stack((np.nonzero(keep)[0], line[keep])), n)
+    # Each row of line ascends, so the arc keys v * n + line[v], less the
+    # self-orthogonal points' own, come out in CSR order.
+    v = np.arange(n)[:, None]
+    return Graph(n, *csr_from_keys((v * n + line)[line != v], n))
 
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:
